@@ -308,34 +308,42 @@ func openPublishSplit(inputs []string, n int, window time.Duration, level v6scan
 	return b, wait, f, nil
 }
 
+// detectorSink and idsSink are what the CLI reads from a detector or
+// IDS terminal, plain or sharded, fresh or resumed.
+type (
+	detectorSink interface {
+		v6scan.TerminalSink
+		Result() *v6scan.Detector
+	}
+	idsSink interface {
+		v6scan.TerminalSink
+		Result() []v6scan.IDSAlert
+		Engine() any
+	}
+)
+
 // runDetect terminates the prepared builder in the offline detector —
 // plain when serial, sharded otherwise, restored from the checkpoint
 // when resuming (which also carries the detection parameters) — and
 // prints the per-level scan tables.
 func runDetect(b *v6scan.Builder, stdout io.Writer, cfg v6scan.DetectorConfig, shards, topN int, counted **v6scan.PipelineCounter, resumed *v6scan.ResumedSink) error {
-	var sink v6scan.RecordSink
-	var result func() *v6scan.Detector
+	var sink detectorSink
 	switch {
 	case resumed != nil:
-		switch s := resumed.Sink.(type) {
-		case *v6scan.DetectorSink:
-			sink, result = s, s.Result
-		case *v6scan.ShardedSink:
-			sink, result = s, s.Result
-		default:
+		s, ok := resumed.Sink.(detectorSink)
+		if !ok {
 			return fmt.Errorf("checkpoint holds IDS state; rerun with -ids")
 		}
+		sink = s
 	case shards > 1:
-		s := v6scan.NewShardedSink(v6scan.NewShardedDetector(cfg, shards))
-		sink, result = s, s.Result
+		sink = v6scan.NewShardedSink(v6scan.NewShardedDetector(cfg, shards))
 	default:
-		s := v6scan.NewDetectorSink(v6scan.NewDetector(cfg))
-		sink, result = s, s.Result
+		sink = v6scan.NewDetectorSink(v6scan.NewDetector(cfg))
 	}
 	if err := b.RunInto(context.Background(), sink); err != nil {
 		return err
 	}
-	det := result()
+	det := sink.Result()
 	levels := cfg.Levels
 	if resumed != nil {
 		levels = det.Config().Levels
@@ -372,46 +380,34 @@ func runIDS(b *v6scan.Builder, stdout io.Writer, det v6scan.DetectorConfig, shar
 	// Tick once per minute of stream time by default — the
 	// inline-deployment cadence, overridable with -advance-every: idle
 	// candidates are evicted (and their alerts emitted) mid-stream
-	// instead of all pooling until Flush. The cadence and drop
-	// introspection need the sink in hand, so the builder terminates
-	// through RunInto rather than the IDS helper. The cadence is
-	// configuration, not checkpointed state, so a resumed sink gets it
-	// re-applied here.
+	// instead of all pooling until Flush. The drop introspection needs
+	// the sink in hand, so the builder terminates through RunInto
+	// rather than the IDS helper. The cadence is configuration, not
+	// checkpointed state, so a resumed sink gets it re-applied here.
 	tickEvery := time.Minute
 	if advEvery > 0 {
 		tickEvery = advEvery
 	}
-	var idsSink v6scan.TerminalSink
-	var drained func() []v6scan.IDSAlert
-	var dropped func() uint64
+	var sink idsSink
 	switch {
 	case resumed != nil:
-		switch s := resumed.Sink.(type) {
-		case *v6scan.IDSSink:
-			s.AdvanceEvery = tickEvery
-			idsSink, drained, dropped = s, s.Result, s.E.DroppedCandidates
-		case *v6scan.ShardedIDSSink:
-			s.AdvanceEvery = tickEvery
-			idsSink, drained, dropped = s, s.Result, s.E.DroppedCandidates
-		default:
+		s, ok := resumed.Sink.(idsSink)
+		if !ok {
 			return fmt.Errorf("checkpoint holds offline-detector state; rerun without -ids")
 		}
+		sink = s
 	case shards > 1:
-		s := v6scan.NewShardedIDSSink(v6scan.NewShardedIDS(cfg, shards))
-		s.AdvanceEvery = tickEvery
-		idsSink, drained, dropped = s, s.Result, s.E.DroppedCandidates
+		sink = v6scan.NewShardedIDSSink(v6scan.NewShardedIDS(cfg, shards))
 	default:
-		s := v6scan.NewIDSSink(v6scan.NewIDS(cfg))
-		s.AdvanceEvery = tickEvery
-		idsSink, drained, dropped = s, s.Result, s.E.DroppedCandidates
+		sink = v6scan.NewIDSSink(v6scan.NewIDS(cfg))
 	}
-	if err := b.RunInto(context.Background(), idsSink); err != nil {
+	if err := b.AdvanceEvery(tickEvery).RunInto(context.Background(), sink); err != nil {
 		return err
 	}
 
-	alerts := drained()
+	alerts := sink.Result()
 	fmt.Fprintf(stdout, "processed %d records: %d IDS alerts\n", (*counted).Count(), len(alerts))
-	if n := dropped(); n > 0 {
+	if n := sink.Engine().(interface{ DroppedCandidates() uint64 }).DroppedCandidates(); n > 0 {
 		fmt.Fprintf(stdout, "  warning: %d candidates dropped by the MaxCandidates bound — alerts are incomplete\n", n)
 	}
 	for i, a := range alerts {

@@ -40,14 +40,12 @@ type Builder struct {
 	// branches collects Tee side sinks so RunInto can extend the
 	// terminal lifecycle (Close) to them.
 	branches []RecordSink
-	// advanceEvery is the stream-time eviction cadence the terminal
-	// helpers apply by setting the sink's AdvanceEvery (the unified
-	// name on every cadence-capable sink — detector Advance, IDS
-	// Tick). Zero leaves eviction to Flush.
+	// advanceEvery is the stream-time eviction cadence RunInto applies
+	// to an EngineSink (detector Advance, IDS Tick). Zero leaves
+	// eviction to Flush.
 	advanceEvery time.Duration
-	// ckptEvery/ckptDir is the checkpoint cadence RunInto applies to
-	// terminals that can snapshot their state (the detector and IDS
-	// sinks, plain and sharded).
+	// ckptEvery/ckptDir is the checkpoint cadence RunInto applies to an
+	// EngineSink.
 	ckptEvery time.Duration
 	ckptDir   string
 	// met is the metrics bundle Instrument attached: Build mounts a
@@ -164,10 +162,8 @@ func (b *Builder) WindowSortSpill(window time.Duration, dir string) *Builder {
 // count. Zero (the default) leaves all eviction to Flush and never
 // touches the sink, so a cadence configured on the sink directly is
 // preserved; a non-zero builder cadence wins over one set on the
-// sink. Terminals without an eviction cadence ignore it — MAWI
-// detectors are bounded by construction (one capture window), and
-// arbitrary RunInto sinks opt in by implementing
-// setCadence(time.Duration) (all built-in detector/IDS sinks do).
+// sink. Terminals other than the EngineSinks ignore it — MAWI
+// detectors are bounded by construction (one capture window).
 func (b *Builder) AdvanceEvery(every time.Duration) *Builder {
 	b.advanceEvery = every
 	return b
@@ -184,9 +180,8 @@ func (b *Builder) AdvanceEvery(every time.Duration) *Builder {
 // the eviction schedule untouched by checkpointing and lets a
 // resumed run pick the schedule up exactly in phase. Without
 // AdvanceEvery the checkpoint cadence fires on its own. Terminals
-// that cannot snapshot (MAWI, arbitrary sinks) ignore the cadence;
-// the built-in detector and IDS sinks opt in by implementing
-// setCheckpoint(time.Duration, string).
+// other than the EngineSinks (MAWI, arbitrary sinks) ignore the
+// cadence.
 func (b *Builder) CheckpointEvery(every time.Duration, dir string) *Builder {
 	b.ckptEvery = every
 	b.ckptDir = dir
@@ -196,7 +191,7 @@ func (b *Builder) CheckpointEvery(every time.Duration, dir string) *Builder {
 // Instrument attaches a metrics bundle (RegisterMetrics) to the
 // pipeline: a batch-native meter stage mounted ahead of every other
 // stage counts raw source output (records, batches, occupancy), and
-// the terminal sink — any of the four built-ins — reports eviction
+// the terminal sink — any EngineSink — reports eviction
 // fires and checkpoint outcomes into the same bundle. Instrumentation
 // is allocation-free per record, so an instrumented pipeline's
 // allocs/op match the uninstrumented one (BenchmarkMetricsHotPath).
@@ -305,19 +300,16 @@ func (b *Builder) Build(sink RecordSink) *Pipeline {
 // implements Sink is closed. The run error wins over any teardown
 // error; otherwise the first teardown error is returned.
 func (b *Builder) RunInto(ctx context.Context, sink RecordSink) error {
-	if b.advanceEvery > 0 {
-		if cs, ok := sink.(interface{ setCadence(time.Duration) }); ok {
-			cs.setCadence(b.advanceEvery)
+	if es, ok := sink.(EngineSink); ok {
+		t := es.term()
+		if b.advanceEvery > 0 {
+			t.AdvanceEvery = b.advanceEvery
 		}
-	}
-	if b.ckptEvery > 0 && b.ckptDir != "" {
-		if cs, ok := sink.(interface{ setCheckpoint(time.Duration, string) }); ok {
-			cs.setCheckpoint(b.ckptEvery, b.ckptDir)
+		if b.ckptEvery > 0 && b.ckptDir != "" {
+			t.CheckpointEvery, t.CheckpointDir = b.ckptEvery, b.ckptDir
 		}
-	}
-	if b.met != nil {
-		if ms, ok := sink.(interface{ setMetrics(*Metrics) }); ok {
-			ms.setMetrics(b.met)
+		if b.met != nil {
+			t.met = b.met
 		}
 	}
 	branches := b.branches

@@ -5,13 +5,13 @@ package pipeline
 //
 // # Consistency
 //
-// A checkpoint is only ever written at a cadence fire point: the
-// moment the cadence machinery (due/splitByCadences) observes the first
-// record at or past the cadence boundary, before that record is
-// processed. Records are non-decreasing, and the cadence fires at the
-// FIRST record carrying its timestamp, so at a fire with time t every
-// processed record has Time < t — the snapshot is exactly the state
-// of the prefix {Time < t}, and the snapshot's mark is t.
+// A cadence checkpoint is written at a fire point: the moment the
+// terminal's cadence (see due) observes the first record at or past
+// the cadence boundary, before that record is processed. Records are
+// non-decreasing, and the cadence fires at the FIRST record carrying
+// its timestamp, so at a fire with time t every processed record has
+// Time < t — the snapshot is exactly the state of the prefix
+// {Time < t}, and the snapshot's mark is t.
 //
 // Resume replays the same input and drops every record with
 // Time ≤ horizon (= mark − 1ns, i.e. Time < mark) ahead of the
@@ -31,6 +31,11 @@ package pipeline
 // ticks where the uninterrupted run would have. Without an eviction
 // cadence the checkpoint cadence fires (and splits batches) on its
 // own, and there is no eviction phase to preserve.
+//
+// A cut between fire points (EngineSink.Cut, the serve daemon's
+// shutdown cut at its last record + 1ns) is just as consistent, but
+// its mark is not the cadence phase. Cut therefore writes the phase to
+// a ".marks" sidecar, and ResumeFile restores it from there.
 //
 // # Files
 //
@@ -60,86 +65,6 @@ import (
 // sinks (plain and sharded) implement it.
 type Checkpointer interface {
 	Checkpoint(w io.Writer, mark time.Time) error
-}
-
-// checkpointPolicy is the embedded per-sink checkpoint cadence: which
-// directory to write to, how often (stream time), and the cadence
-// mark. It shares the due/splitByCadences machinery with the eviction
-// cadence, so checkpoint cuts land exactly at cadence fire points on
-// both the record and batch paths.
-type checkpointPolicy struct {
-	CheckpointEvery time.Duration
-	CheckpointDir   string
-	lastCkpt        time.Time
-	// met is the sink's metrics bundle (nil when uninstrumented). It
-	// lives on the embedded policy so every terminal sink gets the
-	// setMetrics hook, the advance-fire counter, and checkpoint timing
-	// from one place.
-	met *Metrics
-}
-
-// setCheckpoint lets Builder.CheckpointEvery reach a sink through
-// RunInto, mirroring setCadence.
-func (p *checkpointPolicy) setCheckpoint(every time.Duration, dir string) {
-	p.CheckpointEvery = every
-	p.CheckpointDir = dir
-}
-
-// setMetrics lets Builder.Instrument reach a sink through RunInto,
-// mirroring setCadence. Promoted onto all four terminal sinks by
-// embedding.
-func (p *checkpointPolicy) setMetrics(m *Metrics) { p.met = m }
-
-// writeTimed is WriteCheckpoint with duration/outcome instrumentation.
-func (p *checkpointPolicy) writeTimed(ck Checkpointer, t time.Time) error {
-	start := time.Now()
-	err := WriteCheckpoint(p.CheckpointDir, ck, t)
-	p.met.checkpointDone(time.Since(start), err)
-	return err
-}
-
-// enabled reports whether the policy should participate in the
-// cadence machinery.
-func (p *checkpointPolicy) enabled() bool {
-	return p.CheckpointEvery > 0 && p.CheckpointDir != ""
-}
-
-// maybeCheckpoint is the cadence check run at eviction fire points
-// (or at every record when no eviction cadence exists): when due at
-// t, snapshot ck at mark t. Running it only after the advance/tick
-// keeps the snapshot inclusive of the eviction's effect and the
-// eviction mark equal to the snapshot mark (see the package comment
-// above on resume phase).
-func (p *checkpointPolicy) maybeCheckpoint(ck Checkpointer, t time.Time) error {
-	if p.enabled() && due(&p.lastCkpt, p.CheckpointEvery, t) {
-		return p.writeTimed(ck, t)
-	}
-	return nil
-}
-
-// cadences assembles a sink's batch-path cadence list: the eviction
-// cadence with the checkpoint check riding inside its fire (so
-// snapshots land only on eviction fire points), or — when the sink
-// has no eviction cadence — the checkpoint cadence alone driving the
-// batch splits. Mirrors exactly what the sinks' Consume does record
-// by record.
-func (p *checkpointPolicy) cadences(ck Checkpointer, advEvery time.Duration,
-	lastAdv *time.Time, advFire func(time.Time) error) []cadence {
-	if advEvery > 0 {
-		fire := func(t time.Time) error {
-			if err := advFire(t); err != nil {
-				return err
-			}
-			p.met.advanceFired(t)
-			return p.maybeCheckpoint(ck, t)
-		}
-		return []cadence{{lastAdv, advEvery, fire}}
-	}
-	if p.enabled() {
-		return []cadence{{&p.lastCkpt, p.CheckpointEvery,
-			func(t time.Time) error { return p.writeTimed(ck, t) }}}
-	}
-	return nil
 }
 
 // checkpointFileName names a checkpoint by its mark so lexical order
@@ -295,8 +220,10 @@ func LatestCheckpoint(dir string) (string, error) {
 type Resumed struct {
 	// Sink is the restored terminal: *DetectorSink or *ShardedSink for
 	// a detector checkpoint, *IDSSink or *ShardedIDSSink for an IDS
-	// one, matching the requested shard count.
-	Sink RecordSink
+	// one, matching the requested shard count. Its cadence phase is
+	// restored too (see Resume and ResumeFile); the cadence periods are
+	// configuration, set again by the resuming run.
+	Sink EngineSink
 	// Kind is the snapshot kind (checkpoint.KindDetector or
 	// checkpoint.KindIDS).
 	Kind uint8
@@ -308,92 +235,64 @@ type Resumed struct {
 // Resume rebuilds a terminal sink from a snapshot stream. shards > 1
 // restores the sharded variant — the shard count need not match the
 // one the snapshot was taken at. The restored sink's cadence marks are
-// set to the snapshot's cut, so eviction and checkpoint cadences
-// resume in phase with the interrupted run.
+// set to the snapshot's cut, which is the phase of every cadence
+// fire-point cut, so eviction and checkpoint cadences resume in phase
+// with the interrupted run.
 func Resume(r io.Reader, shards int) (*Resumed, error) {
 	cr, err := checkpoint.NewReader(r)
 	if err != nil {
 		return nil, err
 	}
 	hdr := cr.Header()
-	res := &Resumed{Kind: hdr.Kind, Mark: hdr.Mark, Horizon: hdr.Horizon}
-	switch hdr.Kind {
-	case checkpoint.KindDetector:
-		if shards > 1 {
-			d, err := core.RestoreShardedDetector(cr, shards)
-			if err != nil {
-				return nil, err
-			}
-			s := NewShardedSink(d)
-			s.lastAdvance = hdr.Mark
-			s.lastCkpt = hdr.Mark
-			res.Sink = s
-		} else {
-			d, err := core.RestoreDetector(cr)
-			if err != nil {
-				return nil, err
-			}
-			s := NewDetectorSink(d)
-			s.lastAdvance = hdr.Mark
-			s.lastCkpt = hdr.Mark
-			res.Sink = s
+	var sink EngineSink
+	switch {
+	case hdr.Kind == checkpoint.KindDetector && shards > 1:
+		var d *core.ShardedDetector
+		if d, err = core.RestoreShardedDetector(cr, shards); err == nil {
+			sink = NewShardedSink(d)
 		}
-	case checkpoint.KindIDS:
-		if shards > 1 {
-			e, err := ids.RestoreShardedEngine(cr, shards)
-			if err != nil {
-				return nil, err
-			}
-			s := NewShardedIDSSink(e)
-			s.lastAdvance = hdr.Mark
-			s.lastCkpt = hdr.Mark
-			res.Sink = s
-		} else {
-			e, err := ids.RestoreEngine(cr)
-			if err != nil {
-				return nil, err
-			}
-			s := NewIDSSink(e)
-			s.lastAdvance = hdr.Mark
-			s.lastCkpt = hdr.Mark
-			res.Sink = s
+	case hdr.Kind == checkpoint.KindDetector:
+		var d *core.Detector
+		if d, err = core.RestoreDetector(cr); err == nil {
+			sink = NewDetectorSink(d)
+		}
+	case hdr.Kind == checkpoint.KindIDS && shards > 1:
+		var e *ids.ShardedEngine
+		if e, err = ids.RestoreShardedEngine(cr, shards); err == nil {
+			sink = NewShardedIDSSink(e)
+		}
+	case hdr.Kind == checkpoint.KindIDS:
+		var e *ids.Engine
+		if e, err = ids.RestoreEngine(cr); err == nil {
+			sink = NewIDSSink(e)
 		}
 	default:
 		return nil, fmt.Errorf("%w: unknown snapshot kind %d", checkpoint.ErrFormat, hdr.Kind)
 	}
-	return res, nil
+	if err != nil {
+		return nil, err
+	}
+	sink.term().phase = marks{Advance: hdr.Mark, Checkpoint: hdr.Mark}
+	return &Resumed{Sink: sink, Kind: hdr.Kind, Mark: hdr.Mark, Horizon: hdr.Horizon}, nil
 }
 
-// ResumeFile is Resume over a checkpoint file path.
+// ResumeFile is Resume over a checkpoint file path. A cut taken between
+// fire points (EngineSink.Cut) carries its cadence phase in a ".marks"
+// sidecar next to the file; when one exists the restored sink takes its
+// phase from it, so the resumed run fires where the uninterrupted one
+// would have.
 func ResumeFile(path string, shards int) (*Resumed, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
-	return Resume(f, shards)
-}
-
-// Checkpoint implements Checkpointer: a consistent snapshot of the
-// wrapped detector.
-func (s *DetectorSink) Checkpoint(w io.Writer, mark time.Time) error {
-	return s.D.Snapshot(w, mark)
-}
-
-// Checkpoint implements Checkpointer: a dispatcher barrier drains
-// in-flight batches, then all shards snapshot as one global cut.
-func (s *ShardedSink) Checkpoint(w io.Writer, mark time.Time) error {
-	return s.D.Snapshot(w, mark)
-}
-
-// Checkpoint implements Checkpointer: a consistent snapshot of the
-// wrapped engine.
-func (s *IDSSink) Checkpoint(w io.Writer, mark time.Time) error {
-	return s.E.Snapshot(w, mark)
-}
-
-// Checkpoint implements Checkpointer: a dispatcher barrier drains
-// in-flight batches, then all shards snapshot as one global cut.
-func (s *ShardedIDSSink) Checkpoint(w io.Writer, mark time.Time) error {
-	return s.E.Snapshot(w, mark)
+	res, err := Resume(f, shards)
+	if err != nil {
+		return nil, err
+	}
+	if m, ok := readMarks(path + ".marks"); ok {
+		res.Sink.term().phase = m
+	}
+	return res, nil
 }

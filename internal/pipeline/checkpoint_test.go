@@ -3,6 +3,7 @@ package pipeline
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -12,6 +13,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 	"time"
@@ -101,6 +103,36 @@ func killIndex(recs []firewall.Record, offset time.Duration) int {
 	})
 }
 
+// ckptFeeds are the three ways records reach a terminal: one at a
+// time (a record-only source; every stage keeps the record path it is
+// given), in 7-record batches, and in DefaultBatchSize batches. The
+// engine terminal must cut and resume identically under each.
+var ckptFeeds = []struct {
+	name string
+	src  func(recs []firewall.Record) Source
+}{
+	{"record", func(recs []firewall.Record) Source { return SourceFunc(SliceSource(recs).Emit) }},
+	{"batch7", func(recs []firewall.Record) Source { return fixedBatchSource{recs, 7} }},
+	{"default", func(recs []firewall.Record) Source { return SliceSource(recs) }},
+}
+
+// fixedBatchSource emits recs in batches of n, whatever batch size the
+// pipeline asks for.
+type fixedBatchSource struct {
+	recs []firewall.Record
+	n    int
+}
+
+// Emit implements Source.
+func (s fixedBatchSource) Emit(emit func(r firewall.Record) error) error {
+	return SliceSource(s.recs).Emit(emit)
+}
+
+// EmitBatch implements BatchSource.
+func (s fixedBatchSource) EmitBatch(_ int, emit func(recs []firewall.Record) error) error {
+	return SliceSource(s.recs).EmitBatch(s.n, emit)
+}
+
 // TestCheckpointKillRestoreParityDetector: run ten days of stream to
 // completion; separately, run it truncated mid-day-six with daily
 // checkpoints ("the crash"), restore the latest snapshot, and replay
@@ -131,51 +163,55 @@ func TestCheckpointKillRestoreParityDetector(t *testing.T) {
 		{1, 1}, {4, 4}, {4, 2},
 	} {
 		t.Run(fmt.Sprintf("snap%d-resume%d", tc.snapShards, tc.resumeShards), func(t *testing.T) {
-			dir := t.TempDir()
-			if _, err := From(SliceSource(recs[:kill])).
-				AdvanceEvery(cadence).
-				CheckpointEvery(24*time.Hour, dir).
-				Detect(context.Background(), cfg, tc.snapShards); err != nil {
-				t.Fatal(err)
-			}
-			path, err := LatestCheckpoint(dir)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if path == "" {
-				t.Fatal("interrupted run left no checkpoint")
-			}
-			res, err := ResumeFile(path, tc.resumeShards)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if res.Kind != checkpoint.KindDetector {
-				t.Fatalf("snapshot kind = %d, want detector", res.Kind)
-			}
-			if age := res.Mark.Sub(recs[0].Time); age < 4*24*time.Hour {
-				t.Fatalf("latest checkpoint mark only %v into the stream", age)
-			}
-			if err := From(SliceSource(recs)).
-				AdvanceEvery(cadence).
-				ResumeFrom(res.Horizon).
-				RunInto(context.Background(), res.Sink); err != nil {
-				t.Fatal(err)
-			}
-			var det *core.Detector
-			switch s := res.Sink.(type) {
-			case *DetectorSink:
-				det = s.Result()
-			case *ShardedSink:
-				det = s.Result()
-			default:
-				t.Fatalf("unexpected resumed sink type %T", res.Sink)
-			}
-			got := renderDetector(det, cfg.Levels)
-			for _, lvl := range cfg.Levels {
-				if got[lvl] != want[lvl] {
-					t.Errorf("level %v: resumed output differs from uninterrupted run (%d vs %d bytes)",
-						lvl, len(got[lvl]), len(want[lvl]))
-				}
+			for _, feed := range ckptFeeds {
+				t.Run(feed.name, func(t *testing.T) {
+					dir := t.TempDir()
+					if _, err := From(feed.src(recs[:kill])).
+						AdvanceEvery(cadence).
+						CheckpointEvery(24*time.Hour, dir).
+						Detect(context.Background(), cfg, tc.snapShards); err != nil {
+						t.Fatal(err)
+					}
+					path, err := LatestCheckpoint(dir)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if path == "" {
+						t.Fatal("interrupted run left no checkpoint")
+					}
+					res, err := ResumeFile(path, tc.resumeShards)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if res.Kind != checkpoint.KindDetector {
+						t.Fatalf("snapshot kind = %d, want detector", res.Kind)
+					}
+					if age := res.Mark.Sub(recs[0].Time); age < 4*24*time.Hour {
+						t.Fatalf("latest checkpoint mark only %v into the stream", age)
+					}
+					if err := From(feed.src(recs)).
+						AdvanceEvery(cadence).
+						ResumeFrom(res.Horizon).
+						RunInto(context.Background(), res.Sink); err != nil {
+						t.Fatal(err)
+					}
+					var det *core.Detector
+					switch s := res.Sink.(type) {
+					case *DetectorSink:
+						det = s.Result()
+					case *ShardedSink:
+						det = s.Result()
+					default:
+						t.Fatalf("unexpected resumed sink type %T", res.Sink)
+					}
+					got := renderDetector(det, cfg.Levels)
+					for _, lvl := range cfg.Levels {
+						if got[lvl] != want[lvl] {
+							t.Errorf("level %v: resumed output differs from uninterrupted run (%d vs %d bytes)",
+								lvl, len(got[lvl]), len(want[lvl]))
+						}
+					}
+				})
 			}
 		})
 	}
@@ -215,44 +251,48 @@ func TestCheckpointKillRestoreParityIDS(t *testing.T) {
 		{1, 1}, {4, 4}, {4, 2},
 	} {
 		t.Run(fmt.Sprintf("snap%d-resume%d", tc.snapShards, tc.resumeShards), func(t *testing.T) {
-			dir := t.TempDir()
-			if _, err := From(SliceSource(recs[:kill])).
-				AdvanceEvery(cadence).
-				CheckpointEvery(24*time.Hour, dir).
-				IDS(context.Background(), cfg, tc.snapShards); err != nil {
-				t.Fatal(err)
-			}
-			path, err := LatestCheckpoint(dir)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if path == "" {
-				t.Fatal("interrupted run left no checkpoint")
-			}
-			res, err := ResumeFile(path, tc.resumeShards)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if res.Kind != checkpoint.KindIDS {
-				t.Fatalf("snapshot kind = %d, want IDS", res.Kind)
-			}
-			if err := From(SliceSource(recs)).
-				AdvanceEvery(cadence).
-				ResumeFrom(res.Horizon).
-				RunInto(context.Background(), res.Sink); err != nil {
-				t.Fatal(err)
-			}
-			var alerts []ids.Alert
-			switch s := res.Sink.(type) {
-			case *IDSSink:
-				alerts = s.Result()
-			case *ShardedIDSSink:
-				alerts = s.Result()
-			default:
-				t.Fatalf("unexpected resumed sink type %T", res.Sink)
-			}
-			if got := canonicalIDSAlerts(alerts); got != want {
-				t.Errorf("resumed alerts differ from uninterrupted run\n got:\n%s\nwant:\n%s", got, want)
+			for _, feed := range ckptFeeds {
+				t.Run(feed.name, func(t *testing.T) {
+					dir := t.TempDir()
+					if _, err := From(feed.src(recs[:kill])).
+						AdvanceEvery(cadence).
+						CheckpointEvery(24*time.Hour, dir).
+						IDS(context.Background(), cfg, tc.snapShards); err != nil {
+						t.Fatal(err)
+					}
+					path, err := LatestCheckpoint(dir)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if path == "" {
+						t.Fatal("interrupted run left no checkpoint")
+					}
+					res, err := ResumeFile(path, tc.resumeShards)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if res.Kind != checkpoint.KindIDS {
+						t.Fatalf("snapshot kind = %d, want IDS", res.Kind)
+					}
+					if err := From(feed.src(recs)).
+						AdvanceEvery(cadence).
+						ResumeFrom(res.Horizon).
+						RunInto(context.Background(), res.Sink); err != nil {
+						t.Fatal(err)
+					}
+					var alerts []ids.Alert
+					switch s := res.Sink.(type) {
+					case *IDSSink:
+						alerts = s.Result()
+					case *ShardedIDSSink:
+						alerts = s.Result()
+					default:
+						t.Fatalf("unexpected resumed sink type %T", res.Sink)
+					}
+					if got := canonicalIDSAlerts(alerts); got != want {
+						t.Errorf("resumed alerts differ from uninterrupted run\n got:\n%s\nwant:\n%s", got, want)
+					}
+				})
 			}
 		})
 	}
@@ -535,6 +575,147 @@ func TestCheckpointFilePublishing(t *testing.T) {
 	}
 	if !res.Mark.Equal(m2) {
 		t.Fatalf("restored mark = %v, want %v", res.Mark, m2)
+	}
+}
+
+// TestResumeFileRestoresPhase: a checkpoint cut between fire points —
+// the serve daemon's shutdown cut at its last record + 1ns — carries
+// the cadence phase in a ".marks" sidecar. ResumeFile must restore the
+// phase from it, so the resumed sink fires exactly where the
+// uninterrupted run fires; restoring both marks to the cut mark
+// instead would shift every later tick.
+func TestResumeFileRestoresPhase(t *testing.T) {
+	recs := ckptRecords(20_000)
+	cfg := ckptIDSConfig()
+	const cadence = 10 * time.Minute
+
+	// fires runs recs record by record into sink and returns the
+	// stream times of its eviction fires.
+	fires := func(sink RecordSink, recs []firewall.Record, horizon time.Time) []time.Time {
+		t.Helper()
+		m := &Metrics{}
+		var at []time.Time
+		note := func() {
+			if l := m.lastAdvance; !l.IsZero() && (len(at) == 0 || !l.Equal(at[len(at)-1])) {
+				at = append(at, l)
+			}
+		}
+		src := SourceFunc(func(emit func(firewall.Record) error) error {
+			for _, r := range recs {
+				if err := emit(r); err != nil {
+					return err
+				}
+				note()
+			}
+			return nil
+		})
+		b := From(src).AdvanceEvery(cadence).Instrument(m)
+		if !horizon.IsZero() {
+			b.ResumeFrom(horizon)
+		}
+		if err := b.RunInto(context.Background(), sink); err != nil {
+			t.Fatal(err)
+		}
+		return at
+	}
+	want := fires(NewIDSSink(ids.New(cfg)), recs, time.Time{})
+
+	// The interrupted run stops 7 minutes past a fire, so its cut mark
+	// (last record + 1ns) is well off the cadence phase.
+	var phase struct {
+		Advance    time.Time `json:"advance"`
+		Checkpoint time.Time `json:"checkpoint"`
+	}
+	for _, f := range want {
+		if f.Sub(recs[0].Time) >= 5*24*time.Hour {
+			phase.Advance = f
+			break
+		}
+	}
+	kill := sort.Search(len(recs), func(i int) bool {
+		return !recs[i].Time.Before(phase.Advance.Add(7 * time.Minute))
+	})
+	sink := NewIDSSink(ids.New(cfg))
+	sink.AdvanceEvery = cadence
+	for _, r := range recs[:kill] {
+		if err := sink.Consume(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	mark := recs[kill-1].Time.Add(time.Nanosecond)
+	dir := t.TempDir()
+	if err := WriteCheckpoint(dir, sink, mark); err != nil {
+		t.Fatal(err)
+	}
+	b, err := json.Marshal(phase)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(CheckpointPath(dir, mark)+".marks", b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	res, err := ResumeFile(CheckpointPath(dir, mark), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := fires(res.Sink, recs, res.Horizon)
+	i := sort.Search(len(want), func(i int) bool { return !want[i].Before(mark) })
+	if len(got) == 0 || !slices.EqualFunc(got, want[i:], time.Time.Equal) {
+		t.Fatalf("resumed fires start at %v (%d fires), uninterrupted run's at %v (%d fires)",
+			got[:min(1, len(got))], len(got), want[i], len(want)-i)
+	}
+}
+
+// TestCutWritesPhaseSidecar: Cut saves the terminal's cadence phase
+// beside the checkpoint without moving it, and ResumeFile restores it;
+// without the sidecar the phase is the cut mark.
+func TestCutWritesPhaseSidecar(t *testing.T) {
+	recs := ckptRecords(5_000)
+	sink := NewIDSSink(ids.New(ckptIDSConfig()))
+	sink.AdvanceEvery = 10 * time.Minute
+	sink.CheckpointEvery, sink.CheckpointDir = time.Hour, t.TempDir()
+	// Stop past the first checkpoint, where the two marks differ.
+	var adv, ck time.Time
+	n := 0
+	for ; n < len(recs) && (ck.IsZero() || adv.Equal(ck)); n++ {
+		if err := sink.Consume(recs[n]); err != nil {
+			t.Fatal(err)
+		}
+		adv, ck = sink.Phase()
+	}
+	if ck.IsZero() || adv.Equal(ck) {
+		t.Fatalf("degenerate phase: advance %v, checkpoint %v", adv, ck)
+	}
+	dir := t.TempDir()
+	mark := recs[n-1].Time.Add(time.Nanosecond)
+	if err := sink.Cut(dir, mark); err != nil {
+		t.Fatal(err)
+	}
+	if a, c := sink.Phase(); !a.Equal(adv) || !c.Equal(ck) {
+		t.Fatalf("Cut moved the phase to (%v, %v), want (%v, %v)", a, c, adv, ck)
+	}
+	path := CheckpointPath(dir, mark)
+	for _, tc := range []struct {
+		name      string
+		prep      func() error
+		wantPhase [2]time.Time
+	}{
+		{"sidecar", func() error { return nil }, [2]time.Time{adv, ck}},
+		{"no-sidecar", func() error { return os.Remove(path + ".marks") }, [2]time.Time{mark, mark}},
+	} {
+		if err := tc.prep(); err != nil {
+			t.Fatal(err)
+		}
+		res, err := ResumeFile(path, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		a, c := res.Sink.Phase()
+		res.Sink.Close()
+		if !a.Equal(tc.wantPhase[0]) || !c.Equal(tc.wantPhase[1]) {
+			t.Errorf("%s: restored phase (%v, %v), want %v", tc.name, a, c, tc.wantPhase)
+		}
 	}
 }
 

@@ -1,9 +1,8 @@
 package pipeline
 
 // Pipeline observability: a Metrics bundle the builder threads through
-// the source side (a batch-native meter stage) and the terminal sinks
-// (cadence and checkpoint instrumentation via the shared
-// checkpointPolicy plumbing), backed by the dependency-free
+// the source side (a batch-native meter stage) and the engine terminal
+// (cadence and checkpoint instrumentation), backed by the dependency-free
 // internal/metrics registry.
 //
 // The hot-path budget is strict: every per-record or per-batch update
@@ -122,16 +121,6 @@ func registerDispatchMetrics(reg *metrics.Registry) {
 			return float64(gets-misses) / float64(gets)
 		})
 }
-
-// ObserveAdvance records an eviction fire at stream time t. It is the
-// exported hook for terminal consumers that drive their own cadence
-// outside the builder's sink plumbing (the serve daemon's pump); the
-// built-in sinks report through RunInto automatically.
-func (m *Metrics) ObserveAdvance(t time.Time) { m.advanceFired(t) }
-
-// ObserveCheckpoint records the outcome of one checkpoint write, for
-// the same external consumers as ObserveAdvance.
-func (m *Metrics) ObserveCheckpoint(dur time.Duration, err error) { m.checkpointDone(dur, err) }
 
 // record counts one record on the single-record path.
 func (m *Metrics) record() {

@@ -106,12 +106,14 @@
 // The durable-state layer (Checkpointer, Builder.CheckpointEvery,
 // Resume) extends the ownership and ordering rules to snapshots:
 //
-//   - Snapshots are cut only at cadence fire points. The cadence
-//     machinery (due on the record path, splitByCadences on the batch
-//     path) fires at the FIRST record at or past the boundary, before
+//   - Cadence snapshots are cut only at fire points. The engine
+//     terminal's one cadence decision (due) runs per record on both
+//     paths — the batch path splits the batch at each fire point —
+//     and fires at the FIRST record at or past the boundary, before
 //     that record is consumed, so a snapshot with mark t captures
 //     exactly the records with Time < t — the same cut on both paths,
-//     at any batch size.
+//     at any batch size. A cut between fire points (EngineSink.Cut)
+//     saves the cadence phase in a sidecar that ResumeFile reads.
 //   - When an eviction cadence (Advance/Tick) is configured, the
 //     checkpoint cadence rides it: snapshots are cut only at eviction
 //     fire points, immediately after the advance/tick runs. A

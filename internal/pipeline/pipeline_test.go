@@ -229,11 +229,11 @@ func TestLogSourceEmitBatch(t *testing.T) {
 	}
 }
 
-// TestIDSSinkTickEvery verifies the stream-time Tick cadence: with it,
+// TestIDSSinkAdvanceEvery verifies the stream-time Tick cadence: with it,
 // a candidate idle past the engine timeout is evicted mid-stream, so a
 // source that scans, goes quiet, and scans again yields two alerts;
 // without it, eviction waits for Flush and the sessions merge.
-func TestIDSSinkTickEvery(t *testing.T) {
+func TestIDSSinkAdvanceEvery(t *testing.T) {
 	burst := scanStream(150)
 	var recs []firewall.Record
 	recs = append(recs, burst...)
@@ -246,23 +246,23 @@ func TestIDSSinkTickEvery(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(merged.Alerts) != 1 {
-		t.Fatalf("without TickEvery: %d alerts, want 1 merged", len(merged.Alerts))
+		t.Fatalf("without AdvanceEvery: %d alerts, want 1 merged", len(merged.Alerts))
 	}
 	// Both paths must split at the same stream point: the batch path
 	// (default Run over a SliceSource) splits batches at cadence
-	// points, and the record path (forced by the Tap stage) ticks per
-	// record.
-	for name, stage := range map[string]func(RecordSink) RecordSink{
-		"batch":  func(s RecordSink) RecordSink { return s },
-		"record": func(s RecordSink) RecordSink { return Tap(func(firewall.Record) {}, s) },
+	// points, and the record path (forced by a record-only source;
+	// every stage, Tap included, is batch-native) ticks per record.
+	for name, src := range map[string]Source{
+		"batch":  SliceSource(recs),
+		"record": SourceFunc(SliceSource(recs).Emit),
 	} {
 		split := NewIDSSink(ids.New(ids.DefaultConfig()))
-		split.TickEvery = time.Minute
-		if err := New(SliceSource(recs), stage(split)).Run(); err != nil {
+		split.AdvanceEvery = time.Minute
+		if err := New(src, Tap(func(firewall.Record) {}, split)).Run(); err != nil {
 			t.Fatal(err)
 		}
 		if len(split.Alerts) != 2 {
-			t.Fatalf("%s path with TickEvery: %d alerts, want 2 split sessions: %v",
+			t.Fatalf("%s path with AdvanceEvery: %d alerts, want 2 split sessions: %v",
 				name, len(split.Alerts), split.Alerts)
 		}
 	}

@@ -52,141 +52,48 @@ var Discard RecordSink = SinkFunc(func(firewall.Record) error { return nil })
 
 // DetectorSink terminates a pipeline in the multi-aggregation scan
 // detector. Flush calls Finish, after which the detector's scan
-// accessors are valid.
-//
-// AdvanceEvery, when positive, forwards Detector.Advance on a
-// stream-time cadence (checked at record/batch granularity) so
-// sessions idle past the timeout are closed mid-stream and the
-// working set stays proportional to one timeout of stream instead of
-// growing until Flush. Advancing never changes the detected scans —
-// a session closed early by Advance is exactly the session Finish
-// would have closed — so the cadence is purely a memory bound.
-//
-// The embedded checkpointPolicy (Builder.CheckpointEvery) adds a
-// second cadence that snapshots the detector to disk at consistent
-// stream-time cuts; at a shared fire point the advance runs first, so
-// the snapshot includes the eviction horizon's effect.
+// accessors are valid. The embedded terminal supplies the record and
+// batch paths, the AdvanceEvery and checkpoint cadences and the
+// lifecycle.
 type DetectorSink struct {
-	D            *core.Detector
-	AdvanceEvery time.Duration
-	checkpointPolicy
-	lastAdvance time.Time
-	flushed     bool
+	D *core.Detector
+	terminal
 }
 
 // NewDetectorSink wraps a detector.
-func NewDetectorSink(d *core.Detector) *DetectorSink { return &DetectorSink{D: d} }
-
-// setCadence lets Builder.AdvanceEvery reach this sink through
-// RunInto.
-func (s *DetectorSink) setCadence(d time.Duration) { s.AdvanceEvery = d }
-
-// Consume implements RecordSink. The cadence check runs before the
-// record is ingested, as on IDSSink: a record that jumped past the
-// cadence first advances the eviction horizon, then contributes its
-// own activity.
-func (s *DetectorSink) Consume(r firewall.Record) error {
-	switch {
-	case due(&s.lastAdvance, s.AdvanceEvery, r.Time):
-		s.D.Advance(r.Time)
-		s.met.advanceFired(r.Time)
-		if err := s.maybeCheckpoint(s, r.Time); err != nil {
-			return err
-		}
-	case s.AdvanceEvery <= 0:
-		if err := s.maybeCheckpoint(s, r.Time); err != nil {
-			return err
-		}
+func NewDetectorSink(d *core.Detector) *DetectorSink {
+	s := &DetectorSink{D: d}
+	s.eng = engine{
+		value:    d,
+		process:  d.Process,
+		batch:    d.ProcessBatch,
+		advance:  func(t time.Time) error { d.Advance(t); return nil },
+		finish:   func() error { d.Finish(); return nil },
+		snapshot: d.Snapshot,
 	}
-	return s.D.Process(r)
+	return s
 }
-
-// ConsumeBatch implements BatchSink, splitting the batch at every
-// cadence point so advances and checkpoints fire at the same stream
-// positions as on the per-record path.
-func (s *DetectorSink) ConsumeBatch(recs []firewall.Record) error {
-	return splitByCadences(recs,
-		s.cadences(s, s.AdvanceEvery, &s.lastAdvance,
-			func(t time.Time) error { s.D.Advance(t); return nil }),
-		func(part []firewall.Record) error {
-			return s.D.ProcessBatch(part)
-		})
-}
-
-// Flush implements RecordSink, finalizing the detector exactly once.
-func (s *DetectorSink) Flush() error {
-	if !s.flushed {
-		s.flushed = true
-		s.D.Finish()
-	}
-	return nil
-}
-
-// Close implements Sink.
-func (s *DetectorSink) Close() error { return s.Flush() }
 
 // Result returns the finished detector. Valid after Flush.
 func (s *DetectorSink) Result() *core.Detector { return s.D }
 
-// ShardedSink terminates a pipeline in the sharded detector,
-// forwarding batches to its parallel ProcessBatch path. Flush calls
-// Finish, which merges the shards and surfaces any worker error.
-//
-// AdvanceEvery behaves as on DetectorSink: the cadence forwards a
-// global stream-time horizon to every shard through the dispatcher's
-// mark channel (ordered with the record stream), so per-shard session
-// state is evicted continuously — even on shards whose own records
-// lag the global clock — and the merged output stays byte-identical
-// to the unsharded, un-advanced detector's.
+// ShardedSink terminates a pipeline in the sharded detector; Flush
+// calls Finish, which merges the shards and surfaces any worker error.
+// Its eviction horizon reaches every shard, even one whose own records
+// lag the global clock, so the merged output is byte-identical to the
+// unsharded detector's.
 type ShardedSink struct {
-	D            *core.ShardedDetector
-	AdvanceEvery time.Duration
-	checkpointPolicy
-	lastAdvance time.Time
+	D *core.ShardedDetector
+	terminal
 }
 
 // NewShardedSink wraps a sharded detector.
-func NewShardedSink(d *core.ShardedDetector) *ShardedSink { return &ShardedSink{D: d} }
-
-// setCadence lets Builder.AdvanceEvery reach this sink through
-// RunInto.
-func (s *ShardedSink) setCadence(d time.Duration) { s.AdvanceEvery = d }
-
-// Consume implements RecordSink via the detector's staged batching;
-// the cadence check runs before ingestion, as on DetectorSink.
-func (s *ShardedSink) Consume(r firewall.Record) error {
-	switch {
-	case due(&s.lastAdvance, s.AdvanceEvery, r.Time):
-		if err := s.D.Advance(r.Time); err != nil {
-			return err
-		}
-		s.met.advanceFired(r.Time)
-		if err := s.maybeCheckpoint(s, r.Time); err != nil {
-			return err
-		}
-	case s.AdvanceEvery <= 0:
-		if err := s.maybeCheckpoint(s, r.Time); err != nil {
-			return err
-		}
-	}
-	return s.D.Process(r)
+func NewShardedSink(d *core.ShardedDetector) *ShardedSink {
+	s := &ShardedSink{D: d}
+	s.eng = engine{value: d, process: d.Process, batch: d.ProcessBatch,
+		advance: d.Advance, finish: d.Finish, snapshot: d.Snapshot}
+	return s
 }
-
-// ConsumeBatch implements BatchSink, splitting at cadence points as on
-// DetectorSink.
-func (s *ShardedSink) ConsumeBatch(recs []firewall.Record) error {
-	return splitByCadences(recs,
-		s.cadences(s, s.AdvanceEvery, &s.lastAdvance, s.D.Advance),
-		s.D.ProcessBatch)
-}
-
-// Flush implements RecordSink. The detector's Finish is idempotent, so
-// repeat flushes only re-report the first worker error.
-func (s *ShardedSink) Flush() error { return s.D.Finish() }
-
-// Close implements Sink, stopping the worker shards if Flush has not
-// already.
-func (s *ShardedSink) Close() error { return s.D.Finish() }
 
 // Result returns the merged single-detector view of all shards — the
 // same object the analysis builders consume. Valid after Flush.
@@ -233,247 +140,43 @@ func (s *MAWISink) Close() error { return s.Flush() }
 func (s *MAWISink) Result() []core.MAWIScan { return s.Scans }
 
 // IDSSink terminates a pipeline in the dynamic-aggregation IDS engine;
-// Flush stores the accumulated alerts in Alerts.
-//
-// AdvanceEvery, when positive, forwards Engine.Tick on a stream-time
-// cadence (checked at record/batch granularity) so idle candidates
-// are evicted mid-stream as in an inline deployment; zero leaves all
-// eviction to Flush. The field carries the same name on every
-// cadence-capable sink, so Builder.AdvanceEvery drives whichever
-// terminal follows. The embedded checkpointPolicy behaves as on
-// DetectorSink: the tick fires before the snapshot at a shared cut.
+// Flush stores the accumulated alerts in Alerts. Its AdvanceEvery
+// cadence forwards Engine.Tick; zero leaves all eviction to Flush.
 type IDSSink struct {
-	E *ids.Engine
-	// AdvanceEvery is the unified eviction cadence.
-	AdvanceEvery time.Duration
-	// TickEvery is the cadence's original name on the IDS sinks.
-	// It still works — AdvanceEvery wins when both are set.
-	//
-	// Deprecated: set AdvanceEvery (or Builder.AdvanceEvery) instead.
-	TickEvery time.Duration
-	checkpointPolicy
-	Alerts      []ids.Alert
-	lastAdvance time.Time
-	flushed     bool
+	E      *ids.Engine
+	Alerts []ids.Alert
+	terminal
 }
 
 // NewIDSSink wraps an IDS engine.
-func NewIDSSink(e *ids.Engine) *IDSSink { return &IDSSink{E: e} }
-
-// setCadence lets Builder.AdvanceEvery reach this sink through
-// RunInto (the builder cadence drives Tick here).
-func (s *IDSSink) setCadence(d time.Duration) { s.AdvanceEvery = d }
-
-// advanceCadence resolves the unified field against its deprecated
-// alias: AdvanceEvery when set, else TickEvery.
-func (s *IDSSink) advanceCadence() time.Duration {
-	if s.AdvanceEvery > 0 {
-		return s.AdvanceEvery
-	}
-	return s.TickEvery
+func NewIDSSink(e *ids.Engine) *IDSSink {
+	s := &IDSSink{E: e}
+	s.eng = idsEngine(e, &s.Alerts)
+	return s
 }
-
-// Consume implements RecordSink. The cadence check runs before the
-// record is ingested: a record whose timestamp jumped past the
-// cadence first advances the engine clock (evicting candidates that
-// went idle during the gap, as an inline deployment's timer would)
-// and only then contributes its own activity.
-func (s *IDSSink) Consume(r firewall.Record) error {
-	adv := s.advanceCadence()
-	switch {
-	case due(&s.lastAdvance, adv, r.Time):
-		s.E.Tick(r.Time)
-		s.met.advanceFired(r.Time)
-		if err := s.maybeCheckpoint(s, r.Time); err != nil {
-			return err
-		}
-	case adv <= 0:
-		if err := s.maybeCheckpoint(s, r.Time); err != nil {
-			return err
-		}
-	}
-	s.E.Process(r)
-	return nil
-}
-
-// ConsumeBatch implements BatchSink. The batch is split at every
-// cadence point so ticks and checkpoints fire at the same stream
-// positions as on the per-record path — batch size (and stages that
-// force the record path) never change which sessions merge.
-func (s *IDSSink) ConsumeBatch(recs []firewall.Record) error {
-	return splitByCadences(recs,
-		s.cadences(s, s.advanceCadence(), &s.lastAdvance,
-			func(t time.Time) error { s.E.Tick(t); return nil }),
-		func(part []firewall.Record) error { s.E.ProcessBatch(part); return nil })
-}
-
-// Flush implements RecordSink, draining the engine exactly once (a
-// second Flush would return an empty alert set, so repeats are
-// no-ops).
-func (s *IDSSink) Flush() error {
-	if !s.flushed {
-		s.flushed = true
-		s.Alerts = s.E.Flush()
-	}
-	return nil
-}
-
-// Close implements Sink.
-func (s *IDSSink) Close() error { return s.Flush() }
 
 // Result returns the accumulated alerts. Valid after Flush.
 func (s *IDSSink) Result() []ids.Alert { return s.Alerts }
 
-// ShardedIDSSink terminates a pipeline in the sharded IDS engine,
-// forwarding batches to its parallel ProcessBatch path; Flush stops
-// the workers and stores the deterministically merged alerts in
-// Alerts. AdvanceEvery (and the deprecated TickEvery alias) behaves
-// as on IDSSink.
+// ShardedIDSSink terminates a pipeline in the sharded IDS engine; Flush
+// stops the workers and stores the deterministically merged alerts in
+// Alerts.
 type ShardedIDSSink struct {
-	E *ids.ShardedEngine
-	// AdvanceEvery is the unified eviction cadence.
-	AdvanceEvery time.Duration
-	// TickEvery is the cadence's original name on the IDS sinks.
-	// It still works — AdvanceEvery wins when both are set.
-	//
-	// Deprecated: set AdvanceEvery (or Builder.AdvanceEvery) instead.
-	TickEvery time.Duration
-	checkpointPolicy
-	Alerts      []ids.Alert
-	lastAdvance time.Time
-	flushed     bool
+	E      *ids.ShardedEngine
+	Alerts []ids.Alert
+	terminal
 }
 
 // NewShardedIDSSink wraps a sharded IDS engine.
-func NewShardedIDSSink(e *ids.ShardedEngine) *ShardedIDSSink { return &ShardedIDSSink{E: e} }
-
-// setCadence lets Builder.AdvanceEvery reach this sink through
-// RunInto (the builder cadence drives Tick here).
-func (s *ShardedIDSSink) setCadence(d time.Duration) { s.AdvanceEvery = d }
-
-// advanceCadence resolves the unified field against its deprecated
-// alias, as on IDSSink.
-func (s *ShardedIDSSink) advanceCadence() time.Duration {
-	if s.AdvanceEvery > 0 {
-		return s.AdvanceEvery
-	}
-	return s.TickEvery
+func NewShardedIDSSink(e *ids.ShardedEngine) *ShardedIDSSink {
+	s := &ShardedIDSSink{E: e}
+	s.eng = idsEngine(e, &s.Alerts)
+	return s
 }
-
-// Consume implements RecordSink via the engine's staged batching; the
-// cadence check runs before ingestion, as on IDSSink.
-func (s *ShardedIDSSink) Consume(r firewall.Record) error {
-	adv := s.advanceCadence()
-	switch {
-	case due(&s.lastAdvance, adv, r.Time):
-		s.E.Tick(r.Time)
-		s.met.advanceFired(r.Time)
-		if err := s.maybeCheckpoint(s, r.Time); err != nil {
-			return err
-		}
-	case adv <= 0:
-		if err := s.maybeCheckpoint(s, r.Time); err != nil {
-			return err
-		}
-	}
-	s.E.Process(r)
-	return nil
-}
-
-// ConsumeBatch implements BatchSink, splitting at cadence points as
-// on IDSSink.
-func (s *ShardedIDSSink) ConsumeBatch(recs []firewall.Record) error {
-	return splitByCadences(recs,
-		s.cadences(s, s.advanceCadence(), &s.lastAdvance,
-			func(t time.Time) error { s.E.Tick(t); return nil }),
-		func(part []firewall.Record) error { s.E.ProcessBatch(part); return nil })
-}
-
-// Flush implements RecordSink, stopping the workers and merging the
-// alerts exactly once.
-func (s *ShardedIDSSink) Flush() error {
-	if !s.flushed {
-		s.flushed = true
-		s.Alerts = s.E.Flush()
-	}
-	return nil
-}
-
-// Close implements Sink.
-func (s *ShardedIDSSink) Close() error { return s.Flush() }
 
 // Result returns the deterministically merged alerts. Valid after
 // Flush.
 func (s *ShardedIDSSink) Result() []ids.Alert { return s.Alerts }
-
-// cadence is one stream-time cadence a batch is split against: a
-// mark, a period, and the action to run at each fire point. A zero
-// cadence (nil mark or non-positive period) never fires.
-type cadence struct {
-	last  *time.Time
-	every time.Duration
-	fire  func(time.Time) error
-}
-
-// splitByCadences drives a batch through process, splitting it at the
-// union of every cadence's stream-time fire points and invoking the
-// fires there first — exactly the positions the per-record path (due
-// checks before each Consume) would fire at, so batch size never
-// changes which sessions merge, when eviction horizons advance, or
-// where checkpoints cut. All-zero cadences degrade to one process
-// call. Shared by the detector sinks (fire = Advance) and the IDS
-// sinks (fire = Tick); checkpointPolicy.cadences assembles each
-// sink's list, with the checkpoint check riding inside the eviction
-// fire when both are configured.
-func splitByCadences(recs []firewall.Record, cads []cadence,
-	process func([]firewall.Record) error) error {
-	active := false
-	for i := range cads {
-		if cads[i].last != nil && cads[i].every > 0 {
-			active = true
-		}
-	}
-	if !active {
-		return process(recs)
-	}
-	start := 0
-	for i := range recs {
-		t := recs[i].Time
-		split := false
-		for j := range cads {
-			c := &cads[j]
-			if c.last == nil || !due(c.last, c.every, t) {
-				continue
-			}
-			if !split {
-				if err := process(recs[start:i]); err != nil {
-					return err
-				}
-				start = i
-				split = true
-			}
-			if err := c.fire(t); err != nil {
-				return err
-			}
-		}
-	}
-	return process(recs[start:])
-}
-
-// due reports whether a stream-time tick cadence has elapsed at t,
-// advancing the stored mark when it has. A zero or negative cadence
-// never fires; the first record only arms the mark.
-func due(last *time.Time, every time.Duration, t time.Time) bool {
-	if every <= 0 {
-		return false
-	}
-	if last.IsZero() || t.Sub(*last) >= every {
-		fire := !last.IsZero()
-		*last = t
-		return fire
-	}
-	return false
-}
 
 // LogSink writes every record to a binary firewall log; Flush drains
 // the writer's buffer.

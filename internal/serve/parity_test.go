@@ -11,6 +11,7 @@ package serve
 
 import (
 	"bytes"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"testing"
@@ -19,6 +20,13 @@ import (
 	"v6scan/internal/firewall"
 	"v6scan/internal/pipeline"
 )
+
+// readMarks loads the cadence-phase sidecar a shutdown checkpoint
+// carries; ok is false when there is none.
+func readMarks(path string) (m struct{ Advance, Checkpoint time.Time }, ok bool) {
+	b, err := os.ReadFile(path)
+	return m, err == nil && json.Unmarshal(b, &m) == nil
+}
 
 // parityTraffic builds a deterministic two-phase scan scenario: one
 // scanner alerting in the first half, a second alerting in the

@@ -1,16 +1,19 @@
 package serve
 
-// The pump is the daemon's terminal sink: it owns the IDS engine
-// directly (instead of wrapping pipeline.IDSSink) because a serving
-// process must act *between* a tick and the records that follow it —
-// drain freshly fired alerts, publish them to the SSE hub and the
-// blocklist, refresh the state snapshot — and a wrapped sink offers no
-// hook at that point. The cadence arithmetic (dueAt) is a faithful
-// copy of the pipeline's due(): the first record only arms the mark,
-// and a fire happens at the first record at or past mark+every, so a
-// daemon run ticks at exactly the stream positions a batch CLI over
-// the same input would. That equivalence is what makes kill/resume
-// parity byte-exact (TestKillResumeParity).
+// The pump is the daemon's terminal sink. It decorates the pipeline's
+// IDS terminal (pipeline.IDSSink or ShardedIDSSink, fresh or restored),
+// which owns the eviction and checkpoint cadences exactly as in a batch
+// run, so a daemon ticks at exactly the stream positions a batch CLI
+// over the same input would. That equivalence is what makes kill/resume
+// parity byte-exact (TestKillResumeParity). Around the terminal the
+// pump adds what a serving process needs:
+//
+//   - an after-fire callback that drains the alerts a tick fired and
+//     publishes them to the SSE hub and the blocklist, with a fresh
+//     State;
+//   - stream progress after every batch, with a light State publish;
+//   - the end of a generation: a final cut with its cadence phase, and
+//     on shutdown (not on reload) the engine flush.
 //
 // Fire order at a cadence point t is Tick → checkpoint → drain:
 // the snapshot is cut after eviction (the cut the resume machinery
@@ -19,10 +22,7 @@ package serve
 // was cut at — at-least-once delivery, never silent loss.
 
 import (
-	"bytes"
-	"encoding/json"
-	"io"
-	"os"
+	"sync/atomic"
 	"time"
 
 	"v6scan/internal/firewall"
@@ -31,20 +31,14 @@ import (
 	"v6scan/internal/pipeline"
 )
 
-// engine is the slice of ids.Engine / ids.ShardedEngine the pump
-// drives; both satisfy it, so a one-shard daemon skips the dispatcher
-// entirely.
+// engine is the slice of ids.Engine / ids.ShardedEngine the daemon
+// observes; both satisfy it, so a one-shard daemon skips the
+// dispatcher entirely.
 type engine interface {
-	Process(r firewall.Record)
-	ProcessBatch(recs []firewall.Record)
-	Tick(now time.Time)
 	Drain() []ids.Alert
-	Flush() []ids.Alert
 	Candidates(l netaddr6.AggLevel) int
 	MemoryBytes() int
 	DroppedCandidates() uint64
-	Config() ids.Config
-	Snapshot(w io.Writer, mark time.Time) error
 }
 
 // shardedEngine is the extra observability a sharded engine offers.
@@ -53,97 +47,22 @@ type shardedEngine interface {
 	QueueDepth() int
 }
 
-// marks is the cadence phase carried in a checkpoint's sidecar file
-// (and across in-process reloads): the advance and checkpoint cadence
-// marks at the instant the snapshot was cut. A final shutdown
-// checkpoint is cut at lastSeen+1ns — not a cadence fire point — so
-// restoring both marks to the snapshot mark (what pipeline.Resume
-// does for fire-point cuts) would shift the resumed run's tick
-// schedule; the sidecar preserves the true phase instead.
-type marks struct {
-	Advance    time.Time `json:"advance"`
-	Checkpoint time.Time `json:"checkpoint"`
-}
-
-// handoff is a completed generation's state, passed to the next one:
-// an in-memory snapshot (reload) with its cadence marks.
-type handoff struct {
-	snapshot []byte
-	marks    marks
-}
-
-// pump consumes the tailed record stream. Single-goroutine, like
-// every terminal sink: all fields are touched only by the pipeline's
-// dispatching goroutine.
+// pump consumes the tailed record stream. It lives across
+// generations: a reload keeps its terminal, engine state and cadence
+// phase in memory. Single-goroutine, like every terminal sink: all
+// fields but reload are touched only by the pipeline's dispatching
+// goroutine.
 type pump struct {
+	pipeline.EngineSink
 	d    *Daemon
 	eng  engine
 	tail *pipeline.TailSource
 
-	advanceEvery time.Duration
-	ckptEvery    time.Duration
-	ckptDir      string
-
-	lastAdvance time.Time
-	lastCkpt    time.Time
-	lastSeen    time.Time
-	lastPub     time.Time // wall clock of the last light State publish
-	records     uint64
-	flushed     bool
-
-	// out is the generation's parting state, read by Daemon.Run after
-	// the pipeline returns (same goroutine ordering: RunInto has
-	// completed Flush before Run resumes).
-	out handoff
-}
-
-// dueAt mirrors pipeline's due(): first record arms, then fire at the
-// first record ≥ mark+every, advancing the mark to that record's time.
-func dueAt(last *time.Time, every time.Duration, t time.Time) bool {
-	if every <= 0 {
-		return false
-	}
-	if last.IsZero() || t.Sub(*last) >= every {
-		fire := !last.IsZero()
-		*last = t
-		return fire
-	}
-	return false
-}
-
-// Checkpoint implements pipeline.Checkpointer.
-func (p *pump) Checkpoint(w io.Writer, mark time.Time) error {
-	return p.eng.Snapshot(w, mark)
-}
-
-// ckptEnabled reports whether periodic and final checkpoints are on.
-func (p *pump) ckptEnabled() bool { return p.ckptEvery > 0 && p.ckptDir != "" }
-
-// writeCkpt cuts one snapshot at mark, instrumented through the
-// pipeline metrics bundle so checkpoint age/duration/errors surface
-// under the same families as in batch runs.
-func (p *pump) writeCkpt(mark time.Time) error {
-	start := time.Now()
-	err := pipeline.WriteCheckpoint(p.ckptDir, p, mark)
-	p.d.pm.ObserveCheckpoint(time.Since(start), err)
-	if err == nil {
-		p.lastCkpt = mark
-	}
-	return err
-}
-
-// fire runs one cadence point at stream time t: evict, maybe cut a
-// snapshot, then drain and publish whatever the eviction alerted on.
-func (p *pump) fire(t time.Time) error {
-	p.eng.Tick(t)
-	p.d.pm.ObserveAdvance(t)
-	if p.ckptEnabled() && dueAt(&p.lastCkpt, p.ckptEvery, t) {
-		if err := p.writeCkpt(t); err != nil {
-			return err
-		}
-	}
-	p.d.publish(p, p.eng.Drain(), t)
-	return nil
+	horizon  time.Time // replay skip bound of the restored state
+	lastSeen time.Time
+	lastPub  time.Time // wall clock of the last light State publish
+	ended    bool      // the current generation has flushed
+	reload   atomic.Bool
 }
 
 // statePublishInterval throttles the stream-progress State refresh:
@@ -152,8 +71,7 @@ func (p *pump) fire(t time.Time) error {
 const statePublishInterval = 100 * time.Millisecond
 
 // note tracks stream progress after a record or run of records.
-func (p *pump) note(last time.Time, n int) {
-	p.records += uint64(n)
+func (p *pump) note(last time.Time) {
 	if last.After(p.lastSeen) {
 		p.lastSeen = last
 	}
@@ -163,127 +81,59 @@ func (p *pump) note(last time.Time, n int) {
 	}
 }
 
-// Consume implements pipeline.RecordSink.
+// Consume implements pipeline.RecordSink: the terminal consumes, the
+// pump notes progress.
 func (p *pump) Consume(r firewall.Record) error {
-	if dueAt(&p.lastAdvance, p.advanceEvery, r.Time) {
-		if err := p.fire(r.Time); err != nil {
-			return err
-		}
+	if err := p.EngineSink.Consume(r); err != nil {
+		return err
 	}
-	p.eng.Process(r)
-	p.note(r.Time, 1)
+	p.note(r.Time)
 	return nil
 }
 
-// ConsumeBatch implements pipeline.BatchSink, splitting the batch at
-// cadence fire points exactly as the per-record path would.
+// ConsumeBatch implements pipeline.BatchSink, as Consume.
 func (p *pump) ConsumeBatch(recs []firewall.Record) error {
 	if len(recs) == 0 {
 		return nil
 	}
-	start := 0
-	if p.advanceEvery > 0 {
-		for i := range recs {
-			if dueAt(&p.lastAdvance, p.advanceEvery, recs[i].Time) {
-				if start < i {
-					p.eng.ProcessBatch(recs[start:i])
-					start = i
-				}
-				if err := p.fire(recs[i].Time); err != nil {
-					return err
-				}
-			}
-		}
+	if err := p.EngineSink.ConsumeBatch(recs); err != nil {
+		return err
 	}
-	p.eng.ProcessBatch(recs[start:])
-	p.note(recs[len(recs)-1].Time, len(recs))
+	p.note(recs[len(recs)-1].Time)
 	return nil
 }
 
 // Flush implements pipeline.RecordSink: the end of a generation
-// (shutdown or reload). It cuts a final snapshot at lastSeen+1ns —
-// a valid consistency cut (every consumed record is strictly before
-// it) that is NOT a cadence fire point, so no tick is forced and the
-// cadence phase travels in the sidecar instead — then stops the
-// engine. The alerts ids' Flush sweeps out are deliberately
-// DISCARDED, not published: they are the premature eviction of still-
-// open candidates, which the snapshot preserves; a resumed daemon
-// (or the same process after reload) re-grows them and alerts at the
-// stream time an uninterrupted run would have.
+// (shutdown or reload). With a checkpoint directory it cuts a final
+// snapshot at lastSeen+1ns — a valid consistency cut (every consumed
+// record is strictly before it) that is NOT a cadence fire point, so
+// no tick is forced and the cadence phase travels in the sidecar
+// instead. A reload keeps the terminal for the next generation. A
+// shutdown flushes it, and the alerts ids' Flush sweeps out are
+// deliberately DISCARDED, not published: they are the premature
+// eviction of still-open candidates, which the snapshot preserves; a
+// resumed daemon re-grows them and alerts at the stream time an
+// uninterrupted run would have.
 func (p *pump) Flush() error {
-	if p.flushed {
+	if p.ended {
 		return nil
 	}
-	p.flushed = true
-	if !p.lastSeen.IsZero() {
-		mark := p.lastSeen.Add(time.Nanosecond)
-		var buf bytes.Buffer
-		if err := p.eng.Snapshot(&buf, mark); err != nil {
+	p.ended = true
+	var cut time.Time
+	if dir := p.d.cfg.CheckpointDir; dir != "" && !p.lastSeen.IsZero() {
+		cut = p.lastSeen.Add(time.Nanosecond)
+		if err := p.Cut(dir, cut); err != nil {
 			return err
 		}
-		p.out = handoff{
-			snapshot: buf.Bytes(),
-			marks:    marks{Advance: p.lastAdvance, Checkpoint: p.lastCkpt},
-		}
-		if p.ckptDir != "" {
-			start := time.Now()
-			err := pipeline.WriteCheckpoint(p.ckptDir, rawSnapshot(buf.Bytes()), mark)
-			if err == nil {
-				err = writeMarks(sidecarPath(p.ckptDir, mark), p.out.marks)
-			}
-			p.d.pm.ObserveCheckpoint(time.Since(start), err)
-			if err != nil {
-				return err
-			}
-			p.lastCkpt = mark
-		}
 	}
-	p.eng.Flush() // discard: see above
-	p.d.publishFinal(p)
-	return nil
-}
-
-// Close implements pipeline.Sink.
-func (p *pump) Close() error { return p.Flush() }
-
-// rawSnapshot adapts already-serialized snapshot bytes to
-// pipeline.Checkpointer, so the final cut serializes the engine once
-// and still goes through WriteCheckpoint's temp-and-rename publish.
-type rawSnapshot []byte
-
-func (b rawSnapshot) Checkpoint(w io.Writer, _ time.Time) error {
-	_, err := w.Write(b)
+	var err error
+	if !p.reload.Load() {
+		err = p.EngineSink.Flush() // its alerts are discarded: see above
+	}
+	p.d.publishFinal(p, cut)
 	return err
 }
 
-// sidecarPath names the marks sidecar of the checkpoint cut at mark.
-func sidecarPath(dir string, mark time.Time) string {
-	return pipeline.CheckpointPath(dir, mark) + ".marks"
-}
-
-// writeMarks persists the cadence phase next to its checkpoint. The
-// sidecar's stem-plus-extra-suffix name is exactly what the hardened
-// LatestCheckpoint ignores, so it can never be mistaken for a
-// checkpoint.
-func writeMarks(path string, m marks) error {
-	b, err := json.Marshal(m)
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, b, 0o644)
-}
-
-// readMarks loads a checkpoint's sidecar; ok=false when none exists
-// (a periodic fire-point cut, where both marks equal the snapshot
-// mark and need no sidecar).
-func readMarks(path string) (marks, bool) {
-	b, err := os.ReadFile(path)
-	if err != nil {
-		return marks{}, false
-	}
-	var m marks
-	if json.Unmarshal(b, &m) != nil {
-		return marks{}, false
-	}
-	return m, true
-}
+// Close implements pipeline.Sink; a reload must not close the
+// terminal the next generation resumes.
+func (p *pump) Close() error { return p.Flush() }

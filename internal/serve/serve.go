@@ -8,13 +8,14 @@
 // # Lifecycle
 //
 // A Daemon runs in generations. Each generation opens the tail, builds
-// a pipeline into the pump (the daemon's terminal sink, which owns the
-// IDS engine), and streams until the run context is cancelled (SIGTERM
-// path: drain what is durable, cut a final checkpoint, exit) or a
-// Reload is requested (SIGHUP path: same drain and final cut, then a
-// new generation resumes from the just-cut state in place — the log is
-// reopened, so a renamed or replaced path is picked up, and an
-// OnReload hook may revise the serving configuration).
+// a pipeline into the pump (the daemon's terminal sink around the
+// pipeline's IDS terminal), and streams until the run context is
+// cancelled (SIGTERM path: drain what is durable, cut a final
+// checkpoint, exit) or a Reload is requested (SIGHUP path: same drain
+// and final cut, then a new generation continues from the same
+// in-memory state — the log is reopened, so a renamed or replaced path
+// is picked up, and an OnReload hook may revise the serving
+// configuration).
 //
 // Crash recovery is the batch CLI's resume story: start the daemon
 // with Config.Resume and it restores the latest checkpoint, replays
@@ -31,11 +32,9 @@
 package serve
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"os"
 	"sync/atomic"
 	"time"
@@ -86,8 +85,8 @@ type Config struct {
 	// v6scan_* families.
 	Registry *metrics.Registry
 	// OnReload, when set, is applied to the current config at each
-	// Reload; the next generation serves with the result. Engine
-	// parameters still come from the carried-over state.
+	// Reload; the next generation serves with the result. The engine —
+	// its parameters, shard count and state — carries over in memory.
 	OnReload func(Config) Config
 }
 
@@ -241,8 +240,9 @@ func (d *Daemon) Registry() *metrics.Registry { return d.reg }
 func (d *Daemon) State() *State { return d.state.Load() }
 
 // Reload requests a generation restart (the SIGHUP path): the current
-// generation drains, snapshots, and a new one resumes from that
-// snapshot in place. Coalesces when a reload is already pending.
+// generation drains and cuts its final checkpoint, and a new one
+// continues from the same in-memory engine state. Coalesces when a
+// reload is already pending.
 func (d *Daemon) Reload() {
 	select {
 	case d.reloadCh <- struct{}{}:
@@ -254,30 +254,24 @@ func (d *Daemon) Reload() {
 // clean drain and final checkpoint) or a pipeline error. It blocks;
 // start the HTTP server around it.
 func (d *Daemon) Run(ctx context.Context) error {
-	var carry *handoff
+	p, err := d.newPump()
+	if err != nil {
+		return err
+	}
 	for gen := 1; ; gen++ {
 		d.sm.generation.Set(float64(gen))
-		p, horizon, err := d.newPump(carry)
-		if err != nil {
+		if err := d.runGeneration(ctx, gen, p); err != nil || !p.reload.Load() {
 			return err
 		}
-		reloaded, err := d.runGeneration(ctx, gen, p, horizon)
-		if err != nil {
-			return err
-		}
-		if !reloaded {
-			return nil
-		}
-		carry = &p.out
 		if d.cfg.OnReload != nil {
 			d.cfg = d.cfg.OnReload(d.cfg)
 		}
 	}
 }
 
-// runGeneration streams one pipeline until stop or reload; reports
-// which ended it.
-func (d *Daemon) runGeneration(ctx context.Context, gen int, p *pump, horizon time.Time) (reloaded bool, err error) {
+// runGeneration streams one pipeline until stop or reload; p.reload
+// reports which ended it.
+func (d *Daemon) runGeneration(ctx context.Context, gen int, p *pump) error {
 	genCtx, genCancel := context.WithCancel(context.Background())
 	defer genCancel()
 	tail := pipeline.NewTailSource(d.cfg.LogPath, pipeline.TailConfig{
@@ -289,12 +283,11 @@ func (d *Daemon) runGeneration(ctx context.Context, gen int, p *pump, horizon ti
 
 	stop := make(chan struct{})
 	defer close(stop)
-	var sawReload atomic.Bool
 	go func() {
 		select {
 		case <-ctx.Done():
 		case <-d.reloadCh:
-			sawReload.Store(true)
+			p.reload.Store(true)
 		case <-stop:
 		}
 		genCancel() // the tail drains what is durable, then ends cleanly
@@ -304,99 +297,67 @@ func (d *Daemon) runGeneration(ctx context.Context, gen int, p *pump, horizon ti
 	if d.cfg.ArtifactFilter {
 		b = b.Artifact()
 	}
+	// The log replays from the start each generation; skip what the
+	// terminal's state already covers.
+	horizon := p.horizon
+	if p.lastSeen.After(horizon) {
+		horizon = p.lastSeen
+	}
 	if !horizon.IsZero() {
 		b = b.ResumeFrom(horizon)
 	}
-	if err := b.RunInto(context.Background(), p); err != nil {
-		return false, err
-	}
-	return sawReload.Load(), nil
+	return b.AdvanceEvery(d.cfg.AdvanceEvery).
+		CheckpointEvery(d.cfg.CheckpointEvery, d.cfg.CheckpointDir).
+		RunInto(context.Background(), p)
 }
 
-// newPump builds a generation's terminal: engine state from the
-// previous generation's handoff, else the latest disk checkpoint
-// (Config.Resume), else fresh. horizon is the replay skip bound for
-// restored state.
-func (d *Daemon) newPump(carry *handoff) (*pump, time.Time, error) {
-	p := &pump{
-		d:            d,
-		advanceEvery: d.cfg.AdvanceEvery,
-		ckptEvery:    d.cfg.CheckpointEvery,
-		ckptDir:      d.cfg.CheckpointDir,
-	}
-	switch {
-	case carry != nil && carry.snapshot != nil:
-		eng, mark, err := restoreEngine(bytes.NewReader(carry.snapshot), d.cfg.Shards)
-		if err != nil {
-			return nil, time.Time{}, fmt.Errorf("serve: reload handoff: %w", err)
-		}
-		p.eng = eng
-		p.lastAdvance, p.lastCkpt = carry.marks.Advance, carry.marks.Checkpoint
-		return p, mark.Add(-time.Nanosecond), nil
-	case d.cfg.Resume:
+// newPump builds the daemon's terminal: the IDS state restored from
+// the latest disk checkpoint (Config.Resume, cadence phase included),
+// else a fresh engine.
+func (d *Daemon) newPump() (*pump, error) {
+	p := &pump{d: d}
+	if d.cfg.Resume {
 		// Clear out temp files stranded by a crashed writer before
 		// scanning the directory for the newest snapshot.
 		if _, err := pipeline.SweepCheckpointTemps(d.cfg.CheckpointDir); err != nil {
-			return nil, time.Time{}, err
+			return nil, err
 		}
 		path, err := pipeline.LatestCheckpoint(d.cfg.CheckpointDir)
 		if err != nil {
-			return nil, time.Time{}, err
+			return nil, err
 		}
 		if path != "" {
-			f, err := os.Open(path)
+			res, err := pipeline.ResumeFile(path, d.cfg.Shards)
 			if err != nil {
-				return nil, time.Time{}, err
+				return nil, fmt.Errorf("serve: resuming %s: %w", path, err)
 			}
-			eng, mark, err := restoreEngine(f, d.cfg.Shards)
-			f.Close()
-			if err != nil {
-				return nil, time.Time{}, fmt.Errorf("serve: resuming %s: %w", path, err)
+			if res.Kind != checkpoint.KindIDS {
+				return nil, fmt.Errorf("serve: resuming %s: checkpoint holds a detector snapshot, not IDS state", path)
 			}
-			p.eng = eng
-			// Fire-point cuts carry their phase in the mark itself; a
-			// shutdown cut carries it in the sidecar.
-			p.lastAdvance, p.lastCkpt = mark, mark
-			if m, ok := readMarks(path + ".marks"); ok {
-				p.lastAdvance, p.lastCkpt = m.Advance, m.Checkpoint
-			}
-			return p, mark.Add(-time.Nanosecond), nil
+			p.EngineSink, p.horizon = res.Sink, res.Horizon
 		}
 	}
-	if d.cfg.Shards > 1 {
-		p.eng = ids.NewSharded(d.cfg.IDS, d.cfg.Shards)
-	} else {
-		p.eng = ids.New(d.cfg.IDS)
-	}
-	return p, time.Time{}, nil
-}
-
-// restoreEngine rebuilds an IDS engine (re-sharded per the daemon's
-// config) from a snapshot stream and returns its cut mark. It reuses
-// the pipeline's resume machinery so config normalization and
-// re-sharding behave exactly as in the batch CLI.
-func restoreEngine(r io.Reader, shards int) (engine, time.Time, error) {
-	res, err := pipeline.Resume(r, shards)
-	if err != nil {
-		return nil, time.Time{}, err
-	}
-	if res.Kind != checkpoint.KindIDS {
-		return nil, time.Time{}, fmt.Errorf("checkpoint holds a detector snapshot, not IDS state")
-	}
-	switch s := res.Sink.(type) {
-	case *pipeline.IDSSink:
-		return s.E, res.Mark, nil
-	case *pipeline.ShardedIDSSink:
-		return s.E, res.Mark, nil
+	switch {
+	case p.EngineSink != nil:
+	case d.cfg.Shards > 1:
+		p.EngineSink = pipeline.NewShardedIDSSink(ids.NewSharded(d.cfg.IDS, d.cfg.Shards))
 	default:
-		return nil, time.Time{}, fmt.Errorf("unexpected resumed sink %T", res.Sink)
+		p.EngineSink = pipeline.NewIDSSink(ids.New(d.cfg.IDS))
 	}
+	p.eng = p.Engine().(engine)
+	p.OnFire(func(t time.Time) error {
+		d.publish(p, p.eng.Drain(), t)
+		return nil
+	})
+	return p, nil
 }
 
 // generationStart publishes the restored-state view and drains any
 // pending alerts the snapshot carried (non-empty only when resuming a
 // checkpoint cut mid-fire — the at-least-once crash-recovery path).
 func (p *pump) generationStart(gen int) {
+	p.ended = false
+	p.reload.Store(false)
 	d := p.d
 	cur := *d.state.Load()
 	cur.Generation = gen
@@ -404,7 +365,8 @@ func (p *pump) generationStart(gen int) {
 	cur.UpdatedAt = time.Now()
 	d.state.Store(&cur)
 	if pending := p.eng.Drain(); len(pending) > 0 {
-		d.publish(p, pending, p.lastAdvance)
+		tick, _ := p.Phase()
+		d.publish(p, pending, tick)
 	}
 }
 
@@ -427,7 +389,7 @@ func (d *Daemon) publish(p *pump, alerts []ids.Alert, tick time.Time) {
 	}
 	cur := *d.state.Load()
 	cur.LastTick = tick
-	cur.LastCheckpoint = p.lastCkpt
+	_, cur.LastCheckpoint = p.Phase()
 	cur.Candidates = make(map[string]int, len(d.levels))
 	for _, l := range d.levels {
 		n := p.eng.Candidates(l)
@@ -460,11 +422,14 @@ func (d *Daemon) publishLight(p *pump) {
 	d.finishState(&cur, p)
 }
 
-// publishFinal marks the daemon stopped (or the generation over).
-func (d *Daemon) publishFinal(p *pump) {
+// publishFinal marks the daemon stopped (or the generation over);
+// cut is the final checkpoint's mark, zero when none was cut.
+func (d *Daemon) publishFinal(p *pump, cut time.Time) {
 	cur := *d.state.Load()
 	cur.Running = false
-	cur.LastCheckpoint = p.lastCkpt
+	if _, cur.LastCheckpoint = p.Phase(); !cut.IsZero() {
+		cur.LastCheckpoint = cut
+	}
 	d.finishState(&cur, p)
 }
 

@@ -62,8 +62,7 @@
 // horizon to the detector/IDS terminals — sharded ones included — so
 // idle per-source state is released continuously instead of
 // accumulating until the end of input. AdvanceEvery is the one
-// cadence name across all terminals (the IDS sinks' former TickEvery
-// field remains as a deprecated alias). Arbitrary terminals plug in
+// cadence name across all terminals. Arbitrary terminals plug in
 // through RunInto, which owns the sink lifecycle (Flush to finalize,
 // Close to release, typed Result accessors):
 //
@@ -123,11 +122,11 @@
 //	NewIDSSink(NewIDS(c)) / sharded         → .IDS(ctx, c, n)
 //	NewMAWISink(NewMAWIDetector(c))         → .MAWI(ctx, c)
 //
-// Likewise the two eviction-cadence names are now one: the builder's
-// AdvanceEvery drives whichever terminal follows, and the IDS sinks'
-// TickEvery field is a deprecated alias for their AdvanceEvery. A
-// plain Detector fed record by record (Process / Finish / Scans)
-// remains fully supported for single-goroutine use.
+// The four detector and IDS sinks share one engine terminal, so they
+// run the eviction and checkpoint cadences identically; a resumed
+// sink (ResumedSink.Sink) is one of them. A plain Detector fed record
+// by record (Process / Finish / Scans) remains fully supported for
+// single-goroutine use.
 package v6scan
 
 import (
@@ -442,7 +441,9 @@ type (
 	// detector and IDS sinks, plain and sharded.
 	Checkpointer = pipeline.Checkpointer
 	// ResumedSink is a terminal rebuilt from a checkpoint: the
-	// restored Sink plus the Horizon to skip the replayed input to.
+	// restored Sink — a detector or IDS sink, plain or sharded, with
+	// its cadence phase restored — plus the Horizon to skip the
+	// replayed input to.
 	ResumedSink = pipeline.Resumed
 )
 
@@ -458,7 +459,8 @@ func LatestCheckpoint(dir string) (string, error) { return pipeline.LatestCheckp
 
 // ResumeCheckpoint rebuilds a terminal sink from a checkpoint file,
 // sharded across shards workers when shards > 1 — the count need not
-// match the one the snapshot was taken at.
+// match the one the snapshot was taken at. A ".marks" phase sidecar
+// next to the file, when present, restores the cadence phase.
 func ResumeCheckpoint(path string, shards int) (*ResumedSink, error) {
 	return pipeline.ResumeFile(path, shards)
 }
