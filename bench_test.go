@@ -366,6 +366,67 @@ func BenchmarkDetectorBatch(b *testing.B) {
 	b.ReportMetric(float64(len(recs)), "records/op")
 }
 
+// BenchmarkDetectorAdvance times one periodic Advance over a large
+// open set. Each op first ingests, untimed, 2,000 one-record sessions
+// at the tail of the stream, then times the Advance that closes the
+// 2,000 oldest: 1 % of the 200k open sessions. The 400k case holds
+// twice as many open sessions and closes the same 2,000 per call, so
+// equal ns/op shows the cost follows what expires, not what is open.
+// One aggregation level keeps the 400k case near 200 MB.
+func BenchmarkDetectorAdvance(b *testing.B) {
+	for _, open := range []int{200_000, 400_000} {
+		b.Run(fmt.Sprintf("open=%dk", open/1000), func(b *testing.B) {
+			benchmarkDetectorAdvance(b, open)
+		})
+	}
+}
+
+func benchmarkDetectorAdvance(b *testing.B, open int) {
+	const perCall = 2_000
+	cfg := core.DefaultConfig()
+	cfg.Levels = []netaddr6.AggLevel{netaddr6.Agg128}
+	det := core.NewDetector(cfg)
+	// One record per step of stream time, each from a fresh /128, so
+	// exactly open sessions fit inside one timeout.
+	step := cfg.Timeout / time.Duration(open)
+	src := netaddr6.MustPrefix("2001:db8::/64").Addr()
+	dst := netaddr6.MustAddr("2001:db8:f000::1")
+	batch := make([]Record, perCall)
+	next := 0
+	ingest := func() time.Time {
+		for k := range batch {
+			next++
+			batch[k] = Record{
+				Time: benchStart.Add(time.Duration(next) * step), Src: netaddr6.WithIID(src, uint64(next)),
+				Dst: dst, Proto: layers.ProtoTCP, DstPort: 22, Length: 60,
+			}
+		}
+		if err := det.ProcessBatch(batch); err != nil {
+			b.Fatal(err)
+		}
+		return batch[perCall-1].Time
+	}
+	// Fill the open set, then one more call so the free list already
+	// holds a call's worth of handles.
+	for next <= open {
+		det.Advance(ingest())
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		now := ingest()
+		b.StartTimer()
+		det.Advance(now)
+	}
+	b.StopTimer()
+	// The session exactly one timeout old is still open.
+	if got := det.OpenSessions(netaddr6.Agg128); got != open+1 {
+		b.Fatalf("open sessions = %d, want %d", got, open+1)
+	}
+	b.ReportMetric(perCall, "evicted/op")
+}
+
 // benchmarkDetectorSharded measures the sharded detector on the
 // BenchmarkDetectorStreaming workload, fed in batches; shards=1 is the
 // parallelism baseline (one worker, same batching overhead).

@@ -5,6 +5,7 @@ import (
 	"flag"
 	"fmt"
 	"math/rand"
+	"net/netip"
 	"os"
 	"path/filepath"
 	"sort"
@@ -355,5 +356,37 @@ func TestDuplicateInputRejected(t *testing.T) {
 	err := run([]string{log, log}, &stdout, &stderr)
 	if err == nil || !strings.Contains(err.Error(), "duplicate input") {
 		t.Errorf("run with a repeated input: err = %v, want duplicate-input diagnostic", err)
+	}
+}
+
+// TestNonIPv6SourceSkipped: a log holding one 47-byte record whose
+// source is IPv4-mapped runs to completion, plain and sharded, and
+// reports the skipped record instead of crashing the detector.
+func TestNonIPv6SourceSkipped(t *testing.T) {
+	var buf bytes.Buffer
+	w := firewall.NewWriter(&buf)
+	if err := w.Write(firewall.Record{
+		Time: time.Date(2021, 4, 1, 0, 0, 0, 0, time.UTC),
+		Src:  netip.MustParseAddr("::ffff:1.2.3.4"), Dst: netaddr6.MustAddr("2001:db8::1"),
+		Proto: layers.ProtoTCP, SrcPort: 40000, DstPort: 22, Length: 60,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if buf.Len() != 47 {
+		t.Fatalf("log is %d bytes, want one 47-byte record", buf.Len())
+	}
+	path := filepath.Join(t.TempDir(), "mapped.log")
+	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, args := range [][]string{{"-i", path}, {"-i", path, "-shards", "4"}} {
+		out := runGolden(t, args...)
+		if !strings.Contains(out, "processed 1 records") ||
+			!strings.Contains(out, "warning: 1 records with a non-IPv6 source skipped") {
+			t.Errorf("%v: output does not report the skipped record:\n%s", args, out)
+		}
 	}
 }

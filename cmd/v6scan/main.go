@@ -350,6 +350,9 @@ func runDetect(b *v6scan.Builder, stdout io.Writer, cfg v6scan.DetectorConfig, s
 	}
 
 	fmt.Fprintf(stdout, "processed %d records\n", (*counted).Count())
+	if n := det.Skipped(); n > 0 {
+		fmt.Fprintf(stdout, "  warning: %d records with a non-IPv6 source skipped\n", n)
+	}
 	for _, lvl := range levels {
 		scans := det.Scans(lvl)
 		fmt.Fprintf(stdout, "\n=== %s: %d scans ===\n", lvl, len(scans))

@@ -17,6 +17,16 @@
 // scans. Memory is proportional to concurrently active sources, which
 // is what an inline IDS deployment would consume.
 //
+// # Eviction cost
+//
+// Because input is time-ordered (out-of-order records are rejected),
+// the order in which sessions were last touched is also the order in
+// which they expire. Each level keeps its sessions on an intrusive
+// last-touch list, maintained at O(1) per same-source run per level,
+// and Advance pops expired sessions off the list head. A periodic
+// Advance therefore costs O(expired), independent of how many
+// sessions are open. Finish still closes everything in one sweep.
+//
 // # State index and small-set cutoffs
 //
 // Session lookup state lives in a u128idx.Index (open-addressed, no
@@ -141,9 +151,13 @@ type session struct {
 
 	firstDst, firstSrc netaddr6.U128
 	firstSvc           firewall.Service
-	svcN               uint64
 	firstWeek          int32
+	svcN               uint64
 	weekN              uint64
+	// prev and next link the session into its level's last-touch list
+	// (noSession at either end). With firstWeek packed beside firstSvc
+	// they cost no space: the struct is 424 B (TestSessionSize).
+	prev, next uint32
 
 	dsts       u128idx.Set
 	srcs       u128idx.Set
@@ -227,6 +241,13 @@ func (s *session) numSrcs() int {
 // maps the masked 128-bit source (the prefix length is the level
 // itself) to a u32 handle into the paged session store; pages never
 // move once allocated, so *session pointers stay valid across alloc.
+//
+// Every indexed session is also on an intrusive doubly-linked
+// last-touch list, linked through the sessions' prev/next handles.
+// Detector input is time-ordered, so a touched session's last time is
+// never below any other session's: the list is sorted by last, which
+// makes it the expiry order. Keeping it costs O(1) per run per level
+// in ingestRun, and Advance pops expired sessions off the head.
 type levelState struct {
 	level netaddr6.AggLevel
 	idx   u128idx.Index
@@ -242,6 +263,8 @@ type levelState struct {
 	pages [][]session
 	free  []uint32
 	next  uint32
+	// head (least recently touched) and tail end the last-touch list.
+	head, tail uint32
 }
 
 // sessionPageShift sets the page granularity (512 sessions/page) —
@@ -251,6 +274,9 @@ const (
 	sessionPageShift = 9
 	sessionPageSize  = 1 << sessionPageShift
 )
+
+// noSession ends the last-touch list; handles never reach it.
+const noSession = ^uint32(0)
 
 // session returns the session addressed by handle h.
 func (ls *levelState) session(h uint32) *session {
@@ -273,11 +299,45 @@ func (ls *levelState) alloc() (uint32, *session) {
 	return h, ls.session(h)
 }
 
-// recycle resets a closed session and returns its handle to the free
-// list. Its sets and maps are emptied and retained (transferred maps
-// must be nil'd by the caller first), so reopened sessions skip
-// re-materialization.
+// pushTail links session h at the tail of the last-touch list.
+func (ls *levelState) pushTail(h uint32, s *session) {
+	s.prev, s.next = ls.tail, noSession
+	if ls.tail == noSession {
+		ls.head = h
+	} else {
+		ls.session(ls.tail).next = h
+	}
+	ls.tail = h
+}
+
+// unlink removes s from the last-touch list.
+func (ls *levelState) unlink(s *session) {
+	if s.prev == noSession {
+		ls.head = s.next
+	} else {
+		ls.session(s.prev).next = s.next
+	}
+	if s.next == noSession {
+		ls.tail = s.prev
+	} else {
+		ls.session(s.next).prev = s.prev
+	}
+}
+
+// touch moves session h to the tail of the last-touch list.
+func (ls *levelState) touch(h uint32, s *session) {
+	if h != ls.tail {
+		ls.unlink(s)
+		ls.pushTail(h, s)
+	}
+}
+
+// recycle unlinks a closed session, resets it and returns its handle
+// to the free list. Its sets and maps are emptied and retained
+// (transferred maps must be nil'd by the caller first), so reopened
+// sessions skip re-materialization.
 func (ls *levelState) recycle(h uint32, s *session) {
+	ls.unlink(s)
 	s.dsts.Reset()
 	s.srcs.Reset()
 	clear(s.ports)
@@ -295,6 +355,8 @@ type Detector struct {
 	// lastTime guards the time-ordering contract.
 	lastTime time.Time
 	strict   bool
+	// skipped counts records dropped for a non-IPv6 source.
+	skipped uint64
 
 	// Per-batch scratch: ProcessBatch converts each record's
 	// destination/service/week once up front, then replays them across
@@ -321,7 +383,7 @@ func NewDetector(cfg Config) *Detector {
 	}
 	d := &Detector{cfg: cfg, strict: true}
 	for _, l := range cfg.Levels {
-		d.levels = append(d.levels, &levelState{level: l})
+		d.levels = append(d.levels, &levelState{level: l, head: noSession, tail: noSession})
 	}
 	return d
 }
@@ -339,7 +401,9 @@ func (d *Detector) Process(r firewall.Record) error {
 
 // ProcessBatch ingests records in order, with the same time-ordering
 // contract as Process: on an out-of-order record it processes the
-// in-order prefix and returns the same error Process would.
+// in-order prefix and returns the same error Process would. A record
+// whose source is not IPv6 (e.g. IPv4-mapped) is data, not a
+// programming error: it is counted in Skipped and otherwise ignored.
 //
 // Batches are where the detector earns its keep: adjacent records from
 // the same source (the shape dispatch staging and real scan traffic
@@ -352,8 +416,10 @@ func (d *Detector) ProcessBatch(recs []firewall.Record) error {
 			return fmt.Errorf("core: record at %v before previous %v; detector requires time order", r0.Time, d.lastTime)
 		}
 		if !netaddr6.IsIPv6(r0.Src) {
+			d.skipped++
 			d.lastTime = r0.Time
-			panic("core: Process on non-IPv6 source " + r0.Src.String())
+			i++
+			continue
 		}
 		// A run is a maximal span of same-source records in time order;
 		// a time violation breaks the run so the prefix is processed
@@ -374,7 +440,9 @@ func (d *Detector) ProcessBatch(recs []firewall.Record) error {
 // record then updates it through the cached pointer. Mid-run timeout
 // gaps close the session and splice a fresh one into the same index
 // slot — no index mutation happens inside a run, so the value pointer
-// from the initial probe stays valid throughout.
+// from the initial probe stays valid throughout. New sessions join
+// the tail of the level's last-touch list, and the run's final session
+// moves there once at the end.
 func (d *Detector) ingestRun(rs []firewall.Record) {
 	weekly := !d.cfg.WeekEpoch.IsZero()
 	d.scrDst = d.scrDst[:0]
@@ -406,6 +474,7 @@ func (d *Detector) ingestRun(rs []firewall.Record) {
 				h, ns := ls.alloc()
 				*vp = h
 				s = ns
+				ls.pushTail(h, s)
 				s.start, s.last, s.packets = r.Time, r.Time, 1
 				s.firstDst, s.firstSrc = d.scrDst[k], src
 				s.firstSvc, s.svcN = d.scrSvc[k], 1
@@ -425,22 +494,31 @@ func (d *Detector) ingestRun(rs []firewall.Record) {
 				s.addWeek(int(d.scrWeek[k]))
 			}
 		}
+		ls.touch(*vp, s)
 	}
 }
 
 // Advance closes every session whose timeout has elapsed as of now.
 // Callers streaming bounded-memory deployments call this periodically;
 // batch analyses can skip it and rely on Finish.
+//
+// Time-ordered input keeps each level's last-touch list sorted by
+// last, so Advance pops expired sessions off the head and stops at
+// the first live one: the cost is O(expired), not O(open). A session
+// needs no stored key: every source in it masks to its index key, and
+// firstSrc is one of them.
 func (d *Detector) Advance(now time.Time) {
 	for _, ls := range d.levels {
-		ls.idx.Range(func(key netaddr6.U128, h uint32) bool {
+		for ls.head != noSession {
+			h := ls.head
 			s := ls.session(h)
-			if now.Sub(s.last) > d.cfg.Timeout {
-				d.emitOrDrop(ls, key, h, s)
-				ls.idx.Delete(key)
+			if now.Sub(s.last) <= d.cfg.Timeout {
+				break
 			}
-			return true
-		})
+			key := s.firstSrc.Mask(int(ls.level))
+			ls.idx.Delete(key)
+			d.emitOrDrop(ls, key, h, s)
+		}
 	}
 }
 
@@ -546,6 +624,11 @@ func (d *Detector) Dropped(level netaddr6.AggLevel) uint64 {
 	}
 	return 0
 }
+
+// Skipped returns the number of records ignored for a non-IPv6
+// source. The count covers this detector's own input: it is not part
+// of a snapshot.
+func (d *Detector) Skipped() uint64 { return d.skipped }
 
 // OpenSessions returns the number of in-flight sessions at the level —
 // the detector's working-set size, the quantity the Discussion section

@@ -119,6 +119,9 @@ func (sd *ShardedDetector) Finish() error {
 			merged.levels[li].dropped += det.levels[li].dropped
 		}
 	}
+	for _, det := range sd.shards {
+		merged.skipped += det.skipped
+	}
 	sd.merged = merged
 	return err
 }
@@ -142,6 +145,12 @@ func (sd *ShardedDetector) Scans(level netaddr6.AggLevel) []Scan {
 // all shards. Valid after Finish.
 func (sd *ShardedDetector) Dropped(level netaddr6.AggLevel) uint64 {
 	return sd.Merged().Dropped(level)
+}
+
+// Skipped returns the number of records ignored for a non-IPv6 source
+// across all shards. Valid after Finish.
+func (sd *ShardedDetector) Skipped() uint64 {
+	return sd.Merged().Skipped()
 }
 
 // TotalsFor computes the Table-1 row for a level. Valid after Finish.

@@ -23,6 +23,7 @@ import (
 	"fmt"
 	"io"
 	"net/netip"
+	"slices"
 	"sort"
 	"time"
 
@@ -222,7 +223,7 @@ func restoreDetectors(cr *checkpoint.Reader, n int, mk func(cfg Config) []*Detec
 			}
 			count := dec.Uvarint()
 			for i := uint64(0); i < count && dec.Err() == nil; i++ {
-				if err := decodeSession(dec, dets, li, coarsest, n); err != nil {
+				if err := decodeSession(dec, dets, li, coarsest, n, hdr.Horizon); err != nil {
 					return nil, err
 				}
 			}
@@ -260,6 +261,11 @@ func restoreDetectors(cr *checkpoint.Reader, n int, mk func(cfg Config) []*Detec
 	}
 	if dets == nil {
 		return nil, fmt.Errorf("%w: missing config section", checkpoint.ErrFormat)
+	}
+	for _, det := range dets {
+		for _, ls := range det.levels {
+			ls.relink()
+		}
 	}
 	return dets, nil
 }
@@ -321,8 +327,12 @@ func encodeSession(e *checkpoint.Enc, scratch *[]netaddr6.U128, key netaddr6.U12
 
 // decodeSession rebuilds one session into its deterministic shard
 // (dispatch.Partition over the coarsest level — the same routing the
-// dispatcher applies to the session's records).
-func decodeSession(d *checkpoint.Dec, dets []*Detector, li int, coarsest netaddr6.AggLevel, n int) error {
+// dispatcher applies to the session's records). Advance finds a
+// session's index entry as firstSrc masked at the level and relies on
+// last-touch order being expiry order, so a session is rejected unless
+// its key is masked at the level, its first source masks to the key,
+// the key is new, and its last packet is not after the horizon.
+func decodeSession(d *checkpoint.Dec, dets []*Detector, li int, coarsest netaddr6.AggLevel, n int, horizon time.Time) error {
 	key := netaddr6.U128{Hi: d.U64(), Lo: d.U64()}
 	shard := 0
 	if n > 1 {
@@ -348,8 +358,50 @@ func decodeSession(d *checkpoint.Dec, dets []*Detector, li int, coarsest netaddr
 	if err := d.Err(); err != nil {
 		return err
 	}
-	ls.idx.Put(key, h)
+	bits := int(ls.level)
+	switch {
+	case key.Mask(bits) != key:
+		return fmt.Errorf("%w: session key %v is not a /%d prefix", checkpoint.ErrFormat, key.ToAddr(), bits)
+	case s.firstSrc.Mask(bits) != key:
+		return fmt.Errorf("%w: session source %v outside its key %v/%d",
+			checkpoint.ErrFormat, s.firstSrc.ToAddr(), key.ToAddr(), bits)
+	case s.last.After(horizon):
+		return fmt.Errorf("%w: session last packet %v after the snapshot horizon %v",
+			checkpoint.ErrFormat, s.last, horizon)
+	}
+	vp, existed := ls.idx.Ref(key)
+	if existed {
+		return fmt.Errorf("%w: duplicate session key %v/%d", checkpoint.ErrFormat, key.ToAddr(), bits)
+	}
+	*vp = h
 	return nil
+}
+
+// relink rebuilds the last-touch list from the index after a restore.
+// Every restored session ends at or before the horizon and every
+// later record after it, so ordering by (last, key) gives the expiry
+// order live ingestion would keep, with ties broken canonically.
+func (ls *levelState) relink() {
+	type entry struct {
+		key netaddr6.U128
+		h   uint32
+		s   *session
+	}
+	es := make([]entry, 0, ls.idx.Len())
+	ls.idx.Range(func(key netaddr6.U128, h uint32) bool {
+		es = append(es, entry{key, h, ls.session(h)})
+		return true
+	})
+	slices.SortFunc(es, func(a, b entry) int {
+		if c := a.s.last.Compare(b.s.last); c != 0 {
+			return c
+		}
+		return a.key.Cmp(b.key)
+	})
+	ls.head, ls.tail = noSession, noSession
+	for _, e := range es {
+		ls.pushTail(e.h, e.s)
+	}
 }
 
 // encodeU128Set writes the logical address set of an inline-or-set

@@ -472,7 +472,10 @@ func TestCheckpointV1Fixture(t *testing.T) {
 // re-snapshot deterministically — Snapshot∘Restore∘Snapshot is
 // byte-identity — and must never panic, hang, or over-allocate on the
 // way in. Seeds are valid detector and IDS snapshots, so mutation
-// explores the decode paths from the inside.
+// explores the decode paths from the inside, plus the committed
+// testdata/fuzz corpus: detector snapshots whose session key is not
+// masked at its level or whose first source lies outside the key
+// (built by core's craftedSnapshots), which restore must reject.
 func FuzzSnapshotRoundtrip(f *testing.F) {
 	// Seeds stay small (a few hundred records of state) so each fuzz
 	// exec — two restores plus two snapshots — runs in well under a
