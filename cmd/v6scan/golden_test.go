@@ -360,8 +360,9 @@ func TestDuplicateInputRejected(t *testing.T) {
 }
 
 // TestNonIPv6SourceSkipped: a log holding one 47-byte record whose
-// source is IPv4-mapped runs to completion, plain and sharded, and
-// reports the skipped record instead of crashing the detector.
+// source is IPv4-mapped runs to completion through the detector, the
+// artifact filter and the IDS, each plain and sharded, and reports the
+// skipped record instead of crashing or keying state by it.
 func TestNonIPv6SourceSkipped(t *testing.T) {
 	var buf bytes.Buffer
 	w := firewall.NewWriter(&buf)
@@ -382,11 +383,23 @@ func TestNonIPv6SourceSkipped(t *testing.T) {
 	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	for _, args := range [][]string{{"-i", path}, {"-i", path, "-shards", "4"}} {
-		out := runGolden(t, args...)
-		if !strings.Contains(out, "processed 1 records") ||
-			!strings.Contains(out, "warning: 1 records with a non-IPv6 source skipped") {
-			t.Errorf("%v: output does not report the skipped record:\n%s", args, out)
+	// The filter skips the record before the counter, so nothing is
+	// processed past it; the detector and IDS skip it after.
+	for _, tc := range []struct {
+		mode      []string
+		processed string
+	}{
+		{nil, "processed 1 records\n"},
+		{[]string{"-filter"}, "processed 0 records\n"},
+		{[]string{"-ids"}, "processed 1 records: 0 IDS alerts\n"},
+	} {
+		for _, shards := range []string{"1", "4"} {
+			args := append([]string{"-i", path, "-shards", shards}, tc.mode...)
+			out := runGolden(t, args...)
+			if !strings.Contains(out, tc.processed) ||
+				!strings.Contains(out, "warning: 1 records with a non-IPv6 source skipped") {
+				t.Errorf("%v: output does not report the skipped record:\n%s", args, out)
+			}
 		}
 	}
 }

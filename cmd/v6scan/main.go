@@ -203,8 +203,10 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if *ckptDir != "" {
 		b.CheckpointEvery(*ckptEv, *ckptDir)
 	}
+	var artifact *v6scan.ArtifactFilter
 	if *filter {
-		b.Artifact()
+		artifact = v6scan.NewArtifactFilter()
+		b.Artifact(artifact)
 	}
 	// On resume the whole input replays — stateful stages (the artifact
 	// filter) rebuild their state from the full stream — and only the
@@ -222,9 +224,9 @@ func run(args []string, stdout, stderr io.Writer) error {
 	b.Counter(&counted)
 
 	if *useIDS {
-		err = runIDS(b, stdout, cfg, *shards, *advEvery, *topN, &counted, resumed)
+		err = runIDS(b, stdout, cfg, *shards, *advEvery, *topN, &counted, artifact, resumed)
 	} else {
-		err = runDetect(b, stdout, cfg, *shards, *topN, &counted, resumed)
+		err = runDetect(b, stdout, cfg, *shards, *topN, &counted, artifact, resumed)
 	}
 	if waitPubs != nil {
 		if perr := waitPubs(); err == nil {
@@ -326,7 +328,7 @@ type (
 // plain when serial, sharded otherwise, restored from the checkpoint
 // when resuming (which also carries the detection parameters) — and
 // prints the per-level scan tables.
-func runDetect(b *v6scan.Builder, stdout io.Writer, cfg v6scan.DetectorConfig, shards, topN int, counted **v6scan.PipelineCounter, resumed *v6scan.ResumedSink) error {
+func runDetect(b *v6scan.Builder, stdout io.Writer, cfg v6scan.DetectorConfig, shards, topN int, counted **v6scan.PipelineCounter, artifact *v6scan.ArtifactFilter, resumed *v6scan.ResumedSink) error {
 	var sink detectorSink
 	switch {
 	case resumed != nil:
@@ -350,9 +352,7 @@ func runDetect(b *v6scan.Builder, stdout io.Writer, cfg v6scan.DetectorConfig, s
 	}
 
 	fmt.Fprintf(stdout, "processed %d records\n", (*counted).Count())
-	if n := det.Skipped(); n > 0 {
-		fmt.Fprintf(stdout, "  warning: %d records with a non-IPv6 source skipped\n", n)
-	}
+	warnSkipped(stdout, artifact, det.Skipped())
 	for _, lvl := range levels {
 		scans := det.Scans(lvl)
 		fmt.Fprintf(stdout, "\n=== %s: %d scans ===\n", lvl, len(scans))
@@ -370,11 +370,23 @@ func runDetect(b *v6scan.Builder, stdout io.Writer, cfg v6scan.DetectorConfig, s
 	return nil
 }
 
+// warnSkipped reports the records skipped for a non-IPv6 source, by the
+// artifact filter (nil without -filter) and by the engine, if any.
+func warnSkipped(stdout io.Writer, artifact *v6scan.ArtifactFilter, engine uint64) {
+	n := engine
+	if artifact != nil {
+		n += artifact.Stats().Skipped
+	}
+	if n > 0 {
+		fmt.Fprintf(stdout, "  warning: %d records with a non-IPv6 source skipped\n", n)
+	}
+}
+
 // runIDS terminates the prepared builder in the inline
 // dynamic-aggregation engine (sharded when -shards > 1) and prints the
 // merged alert list — the blocklist recommendations the Discussion
 // section calls for.
-func runIDS(b *v6scan.Builder, stdout io.Writer, det v6scan.DetectorConfig, shards int, advEvery time.Duration, topN int, counted **v6scan.PipelineCounter, resumed *v6scan.ResumedSink) error {
+func runIDS(b *v6scan.Builder, stdout io.Writer, det v6scan.DetectorConfig, shards int, advEvery time.Duration, topN int, counted **v6scan.PipelineCounter, artifact *v6scan.ArtifactFilter, resumed *v6scan.ResumedSink) error {
 	cfg := v6scan.DefaultIDSConfig()
 	cfg.MinDsts = det.MinDsts
 	cfg.Timeout = det.Timeout
@@ -410,6 +422,7 @@ func runIDS(b *v6scan.Builder, stdout io.Writer, det v6scan.DetectorConfig, shar
 
 	alerts := sink.Result()
 	fmt.Fprintf(stdout, "processed %d records: %d IDS alerts\n", (*counted).Count(), len(alerts))
+	warnSkipped(stdout, artifact, sink.Engine().(interface{ Skipped() uint64 }).Skipped())
 	if n := sink.Engine().(interface{ DroppedCandidates() uint64 }).DroppedCandidates(); n > 0 {
 		fmt.Fprintf(stdout, "  warning: %d candidates dropped by the MaxCandidates bound — alerts are incomplete\n", n)
 	}

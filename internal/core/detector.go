@@ -406,7 +406,7 @@ func (d *Detector) Process(r firewall.Record) error {
 // programming error: it is counted in Skipped and otherwise ignored.
 //
 // Batches are where the detector earns its keep: adjacent records from
-// the same source (the shape dispatch staging and real scan traffic
+// the same source (the shape dispatch partitioning and real scan traffic
 // produce) are grouped into runs, so N records to one source cost one
 // index probe per aggregation level instead of N map lookups.
 func (d *Detector) ProcessBatch(recs []firewall.Record) error {

@@ -123,21 +123,17 @@ func TestShardedParity(t *testing.T) {
 
 	for _, shards := range []int{1, 2, 8} {
 		sd := NewShardedDetector(cfg, shards)
-		// Mixed feeding: odd batch sizes plus the staged Process path,
-		// with periodic Advance, mirroring the reference run.
+		// Mixed feeding: odd batch sizes and batches of one, with
+		// periodic Advance, mirroring the reference run.
 		for j := 0; j < len(recs); {
+			end := j + 1
 			if j%3 == 0 {
-				end := min(j+257, len(recs))
-				if err := sd.ProcessBatch(recs[j:end]); err != nil {
-					t.Fatal(err)
-				}
-				j = end
-			} else {
-				if err := sd.Process(recs[j]); err != nil {
-					t.Fatal(err)
-				}
-				j++
+				end = min(j+257, len(recs))
 			}
+			if err := sd.ProcessBatch(recs[j:end]); err != nil {
+				t.Fatal(err)
+			}
+			j = end
 			if j%10_000 == 0 && j > 0 {
 				if err := sd.Advance(recs[j-1].Time); err != nil {
 					t.Fatal(err)

@@ -56,6 +56,10 @@ type FilterStats struct {
 	SourcesDropped      uint64
 	DroppedByService    map[Service]uint64
 	DroppedSrcByService map[Service]map[netip.Prefix]struct{}
+	// Skipped counts records ignored for a non-IPv6 (e.g.
+	// IPv4-mapped) source; they are neither buffered nor emitted, and
+	// not part of PacketsIn.
+	Skipped uint64
 }
 
 // NewArtifactFilter returns a filter with the paper's parameters
@@ -74,8 +78,14 @@ func NewArtifactFilter() *ArtifactFilter {
 
 // Push adds one record. If the record starts a new UTC day, the
 // previous day is finalized and its surviving records returned in
-// timestamp order.
+// timestamp order. A record whose source is not IPv6 is data, not a
+// programming error: it is counted in FilterStats.Skipped and
+// otherwise ignored.
 func (f *ArtifactFilter) Push(r Record) []Record {
+	if !netaddr6.IsIPv6(r.Src) {
+		f.stats.Skipped++
+		return nil
+	}
 	day := r.Time.UTC().Truncate(24 * time.Hour)
 	var out []Record
 	if !f.day.IsZero() && day.After(f.day) {
@@ -83,7 +93,7 @@ func (f *ArtifactFilter) Push(r Record) []Record {
 	}
 	f.day = day
 	f.stats.PacketsIn++
-	src := netaddr6.Aggregate(r.Src, netaddr6.Agg64)
+	src, _ := r.Src.Prefix(int(netaddr6.Agg64)) // IPv6, checked above
 	ds := f.sources[src]
 	if ds == nil {
 		ds = &daySource{dupCount: make(map[dupKey]int)}

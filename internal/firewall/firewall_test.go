@@ -3,6 +3,8 @@ package firewall
 import (
 	"bytes"
 	"io"
+	"net/netip"
+	"reflect"
 	"testing"
 	"testing/quick"
 	"time"
@@ -295,5 +297,39 @@ func TestFilterStatsPacketsIn(t *testing.T) {
 	f.Close()
 	if f.Stats().PacketsIn != 1 {
 		t.Errorf("PacketsIn = %d", f.Stats().PacketsIn)
+	}
+}
+
+// TestArtifactFilterSkipsNonIPv6: IPv4-mapped sources are counted and
+// skipped — neither buffered, emitted nor part of PacketsIn — and the
+// rest of the stream filters as if they were absent.
+func TestArtifactFilterSkipsNonIPv6(t *testing.T) {
+	var recs []Record
+	for i := 0; i < 12; i++ {
+		recs = append(recs, rec(t0.Add(time.Duration(i)*time.Second), "2001:db8::1", "2001:db8:f::1", layers.ProtoUDP, 500))
+		recs = append(recs, rec(t0.Add(time.Duration(i)*time.Second), "2001:db8:5ca::1",
+			netaddr6.WithIID(netaddr6.MustAddr("2001:db8:f::"), uint64(i+1)).String(), layers.ProtoTCP, 22))
+	}
+	mapped := rec(t0.Add(time.Minute), "2001:db8::1", "2001:db8:f::1", layers.ProtoUDP, 500)
+	mapped.Src = netip.MustParseAddr("::ffff:1.2.3.4")
+
+	ref := NewArtifactFilter()
+	f := NewArtifactFilter()
+	var want, got []Record
+	for i, r := range recs {
+		want = append(want, ref.Push(r)...)
+		got = append(got, f.Push(r)...)
+		if i%5 == 0 {
+			got = append(got, f.Push(mapped)...)
+		}
+	}
+	want = append(want, ref.Close()...)
+	got = append(got, f.Close()...)
+	if len(got) != 12 || !reflect.DeepEqual(got, want) {
+		t.Fatalf("survivors %d, want the 12 the run without mapped records keeps (%d)", len(got), len(want))
+	}
+	st := f.Stats()
+	if st.Skipped != 5 || st.PacketsIn != ref.Stats().PacketsIn || st.PacketsDropped != ref.Stats().PacketsDropped {
+		t.Fatalf("stats %+v, want Skipped 5 and the reference's counts %+v", st, ref.Stats())
 	}
 }

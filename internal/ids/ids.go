@@ -261,6 +261,8 @@ type Engine struct {
 	// state endpoint) can read it from any goroutine while the engine
 	// processes on its own — the only engine field with that property.
 	dropped atomic.Uint64
+	// skipped counts records ignored for a non-IPv6 source.
+	skipped uint64
 
 	// scrDst is the per-run destination scratch for ProcessBatch; one
 	// backs the Process single-record wrapper.
@@ -315,17 +317,29 @@ func (e *Engine) Process(r firewall.Record) {
 // ProcessBatch ingests a run of records. The slice is not retained, so
 // callers may reuse the backing array between calls.
 //
-// Adjacent records with the same source (the shape dispatch staging
+// Adjacent records with the same source (the shape dispatch partitioning
 // and real scan bursts produce) are grouped into runs, so N records to
 // one candidate cost one index probe per aggregation level instead of
-// N map lookups.
+// N map lookups. A run whose source is not IPv6 (e.g. IPv4-mapped) is
+// data, not a programming error: its records are counted in Skipped
+// and otherwise ignored, though they still advance the engine clock,
+// as they advance a ShardedEngine's.
 func (e *Engine) ProcessBatch(recs []firewall.Record) {
 	for i := 0; i < len(recs); {
 		j := i + 1
 		for j < len(recs) && recs[j].Src == recs[i].Src {
 			j++
 		}
-		e.ingestRun(recs[i:j])
+		if netaddr6.IsIPv6(recs[i].Src) {
+			e.ingestRun(recs[i:j])
+		} else {
+			e.skipped += uint64(j - i)
+			for _, r := range recs[i:j] {
+				if r.Time.After(e.now) {
+					e.now = r.Time
+				}
+			}
+		}
 		i = j
 	}
 }
@@ -530,6 +544,11 @@ func (e *Engine) sweep(all bool) {
 	}
 	e.alerts = append(e.alerts, emitted...)
 }
+
+// Skipped returns the number of records ignored for a non-IPv6
+// source. The count covers this engine's own input: it is not part of
+// a snapshot.
+func (e *Engine) Skipped() uint64 { return e.skipped }
 
 // DroppedCandidates reports how many candidates were rejected by the
 // MaxCandidates bound. Unlike every other accessor it is safe from

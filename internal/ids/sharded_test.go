@@ -3,6 +3,7 @@ package ids
 import (
 	"fmt"
 	"math/rand"
+	"net/netip"
 	"strings"
 	"testing"
 	"time"
@@ -113,28 +114,23 @@ func TestShardedIDSParity(t *testing.T) {
 	for _, shards := range []int{1, 2, 8} {
 		se := NewSharded(cfg, shards)
 		var gotMid string
-		// Mixed feeding: odd batch sizes plus the staged Process path,
-		// with Ticks and the mid-stream Drain at the reference points.
-		// Batches never cross a tick boundary — Tick's horizon is the
-		// latest dispatched record, so a batch overshooting the
-		// reference's tick point would advance eviction early.
+		// Mixed feeding: odd batch sizes and batches of one, with Ticks
+		// and the mid-stream Drain at the reference points. Batches
+		// never cross a tick boundary — Tick's horizon is the latest
+		// dispatched record, so a batch overshooting the reference's
+		// tick point would advance eviction early.
 		for j := 0; j < len(recs); {
+			end := j + 1
 			if j%3 == 0 {
-				end := min(j+257, len(recs), (j/10_000+1)*10_000)
-				se.ProcessBatch(recs[j:end])
-				for k := j; k < end; k++ {
-					if err := checkpoints(k, se, &gotMid); err != nil {
-						t.Fatal(err)
-					}
-				}
-				j = end
-			} else {
-				se.Process(recs[j])
-				if err := checkpoints(j, se, &gotMid); err != nil {
+				end = min(j+257, len(recs), (j/10_000+1)*10_000)
+			}
+			se.ProcessBatch(recs[j:end])
+			for k := j; k < end; k++ {
+				if err := checkpoints(k, se, &gotMid); err != nil {
 					t.Fatal(err)
 				}
-				j++
 			}
+			j = end
 		}
 		got := canonicalAlerts(se.Flush())
 		if gotMid != wantMid {
@@ -187,5 +183,44 @@ func TestShardedIDSAccessors(t *testing.T) {
 	}
 	if len(se.Flush()) == 0 {
 		t.Error("no alerts from workload")
+	}
+}
+
+// TestNonIPv6SourceSkipped: records with an IPv4-mapped source are
+// counted and skipped by the plain and the sharded engine alike — no
+// candidate is keyed by them — and the alerts equal those of the
+// stream without them.
+func TestNonIPv6SourceSkipped(t *testing.T) {
+	cfg := idsParityConfig()
+	recs := idsParityRecords(20_000)
+	mapped := netip.MustParseAddr("::ffff:1.2.3.4")
+	skip := map[int]bool{100: true, 101: true, 9_000: true}
+	var clean []firewall.Record
+	for i := range recs {
+		if skip[i] {
+			recs[i].Src = mapped
+		} else {
+			clean = append(clean, recs[i])
+		}
+	}
+	ref := New(cfg)
+	ref.ProcessBatch(clean)
+	want := canonicalAlerts(ref.Flush())
+	if want == "" {
+		t.Fatal("reference produced no alerts")
+	}
+
+	e := New(cfg)
+	e.ProcessBatch(recs)
+	se := NewSharded(cfg, 4)
+	se.ProcessBatch(recs)
+	if got := canonicalAlerts(e.Flush()); got != want {
+		t.Errorf("plain alerts differ from the run without the mapped records")
+	}
+	if got := canonicalAlerts(se.Flush()); got != want {
+		t.Errorf("sharded alerts differ from the run without the mapped records")
+	}
+	if e.Skipped() != 3 || se.Skipped() != 3 {
+		t.Fatalf("Skipped = %d (plain), %d (sharded), want 3", e.Skipped(), se.Skipped())
 	}
 }

@@ -61,8 +61,8 @@ func mixedStream(days, perDay int) []firewall.Record {
 	return recs
 }
 
-// recordOnlySink deliberately does not implement BatchSink, to force
-// and to detect the per-record path.
+// recordOnlySink deliberately does not implement BatchSink: it is fed
+// record by record.
 type recordOnlySink struct {
 	recs    []firewall.Record
 	flushes int
@@ -118,32 +118,68 @@ func TestBuilderMatchesNestedChain(t *testing.T) {
 	}
 }
 
-// TestBuilderBatchContinuity verifies the Batched assertion: true only
-// when the source batches, every stage is batch-native, and the
-// terminal consumes batches.
-func TestBuilderBatchContinuity(t *testing.T) {
-	recs := scanStream(10)
-	full := From(SliceSource(recs)).
-		Policy(firewall.DefaultCollectPolicy()).
-		DaySort().
-		Artifact().
-		Build(NewShardedSink(core.NewShardedDetector(core.DefaultConfig(), 2)))
-	if !full.Batched() {
-		t.Fatal("fully filtered builder pipeline should be batched end to end")
+// recordFunc is a record-at-a-time producer over recs.
+func recordFunc(recs []firewall.Record) SourceFunc {
+	return func(emit func(r firewall.Record) error) error {
+		for _, r := range recs {
+			if err := emit(r); err != nil {
+				return err
+			}
+		}
+		return nil
 	}
-	if err := full.Run(); err != nil {
+}
+
+// batchLog notes the size of every batch it consumes and counts the
+// records that reach it through Consume instead.
+type batchLog struct {
+	sizes  []int
+	single int
+}
+
+func (s *batchLog) Consume(firewall.Record) error { s.single++; return nil }
+func (s *batchLog) ConsumeBatch(recs []firewall.Record) error {
+	s.sizes = append(s.sizes, len(recs))
+	return nil
+}
+func (s *batchLog) Flush() error { return nil }
+
+// TestBuilderBatchContinuity verifies the one record-to-batch edge: a
+// SourceFunc reaches the terminal through batch-native stages as
+// DefaultBatchSize batches, the last one short, and detects the same
+// scans through the paper chain as a SliceSource at 1 and 4 shards.
+func TestBuilderBatchContinuity(t *testing.T) {
+	recs := mixedStream(3, 4000)
+	var counted *Counter
+	sink := &batchLog{}
+	if err := From(recordFunc(recs)).Tap(func(firewall.Record) {}).Counter(&counted).Build(sink).Run(); err != nil {
 		t.Fatal(err)
 	}
+	want := []int{DefaultBatchSize, DefaultBatchSize, len(recs) - 2*DefaultBatchSize}
+	if !reflect.DeepEqual(sink.sizes, want) || sink.single != 0 {
+		t.Fatalf("terminal saw batches %v and %d single records, want batches %v", sink.sizes, sink.single, want)
+	}
+	if counted.Count() != uint64(len(recs)) {
+		t.Fatalf("counted %d records, want %d", counted.Count(), len(recs))
+	}
 
-	if p := From(SliceSource(recs)).Build(&recordOnlySink{}); p.Batched() {
-		t.Fatal("record-only terminal cannot be batched")
-	}
-	src := SourceFunc(SliceSource(recs).Emit)
-	if p := From(src).Policy(firewall.DefaultCollectPolicy()).Build(Discard); p.Batched() {
-		t.Fatal("non-batching source cannot be batched")
-	}
-	if p := New(SliceSource(recs), Discard); !p.Batched() {
-		t.Fatal("New with batch source and batch sink should report batched")
+	cfg := core.DefaultConfig()
+	for _, shards := range []int{1, 4} {
+		run := func(src Source) map[netaddr6.AggLevel]string {
+			det, err := From(src).Policy(firewall.DefaultCollectPolicy()).DaySort().Artifact().
+				Detect(context.Background(), cfg, shards)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return renderDetector(det, cfg.Levels)
+		}
+		want, got := run(SliceSource(recs)), run(recordFunc(recs))
+		if want[netaddr6.Agg64] == "" {
+			t.Fatalf("shards=%d: reference detected no /64 scan", shards)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("shards=%d: SourceFunc scans differ from SliceSource\n got %v\nwant %v", shards, got, want)
+		}
 	}
 }
 
@@ -162,11 +198,7 @@ func TestBuilderTeeBranchesSeePreCompactionStream(t *testing.T) {
 		Tee(Chain().Counter(&branch).Into(Discard)).
 		Policy(firewall.DefaultCollectPolicy()).
 		Counter(&main)
-	p := b.Build(Discard)
-	if !p.Batched() {
-		t.Fatal("tee chain should stay batched")
-	}
-	if err := p.Run(); err != nil {
+	if err := b.Build(Discard).Run(); err != nil {
 		t.Fatal(err)
 	}
 	if branch.Count() != uint64(len(recs)) {
@@ -236,11 +268,7 @@ func TestTeeRecordOnlyBranchOnBatchPath(t *testing.T) {
 	branch := &recordOnlySink{}
 	var main *Counter
 	b := From(SliceSource(recs)).Tee(branch).Counter(&main)
-	p := b.Build(Discard)
-	if !p.Batched() {
-		t.Fatal("main chain should stay batched around a record-only branch")
-	}
-	if err := p.Run(); err != nil {
+	if err := b.Build(Discard).Run(); err != nil {
 		t.Fatal(err)
 	}
 	if len(branch.recs) != len(recs) || main.Count() != uint64(len(recs)) {
@@ -329,8 +357,8 @@ func TestChainInto(t *testing.T) {
 	}
 }
 
-// TestRunContextCancel verifies cancellation aborts both dispatch
-// paths with ctx's error while still flushing the chain.
+// TestRunContextCancel verifies cancellation aborts the run between
+// batches with ctx's error while still flushing the chain.
 func TestRunContextCancel(t *testing.T) {
 	recs := scanStream(10_000)
 
@@ -355,29 +383,6 @@ func TestRunContextCancel(t *testing.T) {
 		}
 		if sink.flushes != 1 {
 			t.Fatalf("flushes = %d, want 1 (chain must flush on abort)", sink.flushes)
-		}
-	})
-
-	t.Run("record", func(t *testing.T) {
-		ctx, cancel := context.WithCancel(context.Background())
-		n := 0
-		sink := &recordOnlySink{}
-		// The head must hide its batch capability to force the
-		// per-record dispatch path.
-		p := New(SliceSource(recs), &wrapRecordOnly{Tap(func(firewall.Record) {
-			if n++; n == 100 {
-				cancel()
-			}
-		}, sink)})
-		err := p.RunContext(ctx)
-		if err != context.Canceled {
-			t.Fatalf("err = %v, want context.Canceled", err)
-		}
-		if len(sink.recs) != 100 {
-			t.Fatalf("consumed %d records, want 100", len(sink.recs))
-		}
-		if sink.flushes != 1 {
-			t.Fatalf("flushes = %d, want 1", sink.flushes)
 		}
 	})
 

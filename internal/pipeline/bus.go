@@ -232,19 +232,7 @@ func NewSubscribeSource(ctx context.Context, b *bus.Bus, topic string) *Subscrib
 	return s
 }
 
-// Emit implements Source by riding EmitBatch.
-func (s *SubscribeSource) Emit(emit func(r firewall.Record) error) error {
-	return s.EmitBatch(DefaultBatchSize, func(recs []firewall.Record) error {
-		for _, r := range recs {
-			if err := emit(r); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-}
-
-// EmitBatch implements BatchSource.
+// EmitBatch implements Source.
 func (s *SubscribeSource) EmitBatch(batchSize int, emit func(recs []firewall.Record) error) error {
 	if s.err != nil {
 		return fmt.Errorf("pipeline: subscribing to %s: %w", s.topic, s.err)

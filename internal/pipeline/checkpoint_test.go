@@ -103,15 +103,15 @@ func killIndex(recs []firewall.Record, offset time.Duration) int {
 	})
 }
 
-// ckptFeeds are the three ways records reach a terminal: one at a
-// time (a record-only source; every stage keeps the record path it is
-// given), in 7-record batches, and in DefaultBatchSize batches. The
-// engine terminal must cut and resume identically under each.
+// ckptFeeds are three batch sizes records reach a terminal in: one at a
+// time (so a cadence decision falls on every record), 7 and
+// DefaultBatchSize. The engine terminal must cut and resume identically
+// under each.
 var ckptFeeds = []struct {
 	name string
 	src  func(recs []firewall.Record) Source
 }{
-	{"record", func(recs []firewall.Record) Source { return SourceFunc(SliceSource(recs).Emit) }},
+	{"record", func(recs []firewall.Record) Source { return fixedBatchSource{recs, 1} }},
 	{"batch7", func(recs []firewall.Record) Source { return fixedBatchSource{recs, 7} }},
 	{"default", func(recs []firewall.Record) Source { return SliceSource(recs) }},
 }
@@ -123,12 +123,7 @@ type fixedBatchSource struct {
 	n    int
 }
 
-// Emit implements Source.
-func (s fixedBatchSource) Emit(emit func(r firewall.Record) error) error {
-	return SliceSource(s.recs).Emit(emit)
-}
-
-// EmitBatch implements BatchSource.
+// EmitBatch implements Source.
 func (s fixedBatchSource) EmitBatch(_ int, emit func(recs []firewall.Record) error) error {
 	return SliceSource(s.recs).EmitBatch(s.n, emit)
 }

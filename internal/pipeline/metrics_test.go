@@ -124,14 +124,16 @@ func TestInstrumentSinkVariants(t *testing.T) {
 	}
 }
 
-// TestInstrumentRecordPath: forcing the record path (a SourceFunc hides
-// batching) counts identically — fires and records are path-invariant.
+// TestInstrumentRecordPath: a record-at-a-time producer (SourceFunc)
+// counts identically — fires and records do not depend on how the
+// source paces its records, and the meter sees one batch per staged
+// batch.
 func TestInstrumentRecordPath(t *testing.T) {
 	recs := meterRecords(3600)
 	reg := metrics.NewRegistry()
 	m := RegisterMetrics(reg)
 	sink := NewIDSSink(ids.New(ids.Config{}))
-	err := From(SourceFunc(SliceSource(recs).Emit)).
+	err := From(recordFunc(recs)).
 		Instrument(m).
 		AdvanceEvery(10*time.Minute).
 		RunInto(context.Background(), sink)
@@ -144,7 +146,7 @@ func TestInstrumentRecordPath(t *testing.T) {
 	if got := m.Advances.Value(); got != 5 {
 		t.Errorf("Advances = %d, want 5", got)
 	}
-	if got := m.SourceBatches.Value(); got != 0 {
-		t.Errorf("SourceBatches = %d on the record path, want 0", got)
+	if got, want := m.SourceBatches.Value(), uint64((len(recs)+DefaultBatchSize-1)/DefaultBatchSize); got != want {
+		t.Errorf("SourceBatches = %d, want %d", got, want)
 	}
 }

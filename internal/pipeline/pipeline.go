@@ -18,11 +18,12 @@
 //		Artifact().
 //		Detect(ctx, core.DefaultConfig(), 8)
 //
-// Every built-in stage is batch-native: when the source can emit
-// chunked runs (BatchSource) and the terminal sink consumes them
-// (BatchSink), records flow batch-to-batch through the whole chain —
-// filter stages compact each run in place — and Pipeline.Batched
-// reports that the fast path engaged. Stages pass records downstream
+// Every source emits chunked runs (Source.EmitBatch) and every
+// built-in stage is batch-native, so records flow batch-to-batch
+// through the whole chain into any terminal that consumes batches
+// (BatchSink) — filter stages compact each run in place. A
+// record-at-a-time producer enters through SourceFunc, the one
+// record-to-batch adapter, at the edge. Stages pass records downstream
 // synchronously; parallelism lives in the sharded sinks, which
 // partition batches across worker shards. Flush propagates
 // end-of-stream down the chain so buffered stages drain and detectors
@@ -41,6 +42,11 @@
 //     final short one, and the sharded sinks' dispatcher recycles its
 //     per-shard buffers through the same arena (dispatch.GetBatch /
 //     PutBatch) the moment the worker returns.
+//   - A SourceFunc stages the records its function produces into one
+//     pooled batch and delivers it once per staged batch: each time
+//     the batch fills, and once more, short, at the end. Downstream
+//     sees the same loans as from any other source, however the
+//     function paces its records.
 //   - Within the call, the consumer may mutate the slice in place —
 //     filter stages compact survivors to the front; Tee therefore
 //     hands copies to every batch branch but its last.
@@ -107,12 +113,11 @@
 // Resume) extends the ownership and ordering rules to snapshots:
 //
 //   - Cadence snapshots are cut only at fire points. The engine
-//     terminal's one cadence decision (due) runs per record on both
-//     paths — the batch path splits the batch at each fire point —
-//     and fires at the FIRST record at or past the boundary, before
-//     that record is consumed, so a snapshot with mark t captures
-//     exactly the records with Time < t — the same cut on both paths,
-//     at any batch size. A cut between fire points (EngineSink.Cut)
+//     terminal's one cadence decision (due) runs per record — each
+//     batch is split at its fire points — and fires at the FIRST
+//     record at or past the boundary, before that record is consumed,
+//     so a snapshot with mark t captures exactly the records with
+//     Time < t, at any batch size. A cut between fire points (EngineSink.Cut)
 //     saves the cadence phase in a sidecar that ResumeFile reads.
 //   - When an eviction cadence (Advance/Tick) is configured, the
 //     checkpoint cadence rides it: snapshots are cut only at eviction
@@ -185,7 +190,7 @@
 //
 //   - A TailSource is single-use and single-goroutine like every
 //     other source; only the pipeline's run goroutine may call
-//     Emit/EmitBatch, and Stats is safe only from code inside that
+//     EmitBatch, and Stats is safe only from code inside that
 //     pipeline or after the run ends. Emitted batches follow the
 //     standard pooled-batch loan.
 //   - The tailed file must grow by appends in non-decreasing record
@@ -266,6 +271,7 @@ package pipeline
 import (
 	"context"
 
+	"v6scan/internal/dispatch"
 	"v6scan/internal/firewall"
 )
 
@@ -302,72 +308,80 @@ type Sink interface {
 	Close() error
 }
 
-// Source produces records in non-decreasing time order, pushing each
-// into emit. Emit's error aborts production and is returned unwrapped.
+// Source produces records in non-decreasing time order, in chunked
+// runs. EmitBatch pushes runs of up to batchSize records into emit,
+// under the package doc's batch-ownership rule: the source owns (and
+// refills) the backing array, consumers may compact in place, and
+// sinks that retain records must copy (the sharded consumers already
+// partition into their own pooled buffers). An error from emit aborts
+// production and is returned unwrapped.
 type Source interface {
-	Emit(emit func(r firewall.Record) error) error
-}
-
-// BatchSource is implemented by sources that can emit chunked runs of
-// records (the slice, log and pcap sources). Pipelines coupling one to
-// a BatchSink chain stream batch-to-batch, skipping the per-record
-// indirection entirely.
-type BatchSource interface {
-	Source
-	// EmitBatch pushes runs of up to batchSize records into emit,
-	// under the package doc's batch-ownership rule: the source owns
-	// (and refills) the backing array, consumers may compact in
-	// place, and sinks that retain records must copy (the sharded
-	// consumers already partition into their own pooled buffers).
 	EmitBatch(batchSize int, emit func(recs []firewall.Record) error) error
 }
 
-// DefaultBatchSize is the chunk size Run uses on the batch path —
-// large enough to amortize dispatch overhead, small enough to keep
-// per-chunk buffers cache-friendly.
+// BatchSource is Source under its former name, which the committed
+// benchmark module (v6bench) still uses.
+type BatchSource = Source
+
+// DefaultBatchSize is the chunk size Run asks sources for — large
+// enough to amortize dispatch overhead, small enough to keep per-chunk
+// buffers cache-friendly.
 const DefaultBatchSize = 4096
 
-// SourceFunc adapts a function to the Source interface.
+// SourceFunc adapts a record-at-a-time producer to Source: it is the
+// one record-to-batch edge of the package.
 type SourceFunc func(emit func(r firewall.Record) error) error
 
-// Emit implements Source.
-func (f SourceFunc) Emit(emit func(r firewall.Record) error) error { return f(emit) }
+// EmitBatch implements Source, staging the produced records into one
+// pooled batch that is delivered each time batchSize records
+// accumulate, and once more, short, at the end.
+func (f SourceFunc) EmitBatch(batchSize int, emit func(recs []firewall.Record) error) error {
+	if batchSize <= 0 {
+		batchSize = DefaultBatchSize
+	}
+	buf := dispatch.GetBatch(batchSize)
+	defer dispatch.PutBatch(buf)
+	err := f(func(r firewall.Record) error {
+		*buf = append(*buf, r)
+		if len(*buf) == batchSize {
+			if err := emit(*buf); err != nil {
+				return err
+			}
+			*buf = (*buf)[:0]
+		}
+		return nil
+	})
+	if err != nil {
+		return err
+	}
+	if len(*buf) > 0 {
+		return emit(*buf)
+	}
+	return nil
+}
 
 // Pipeline couples a source to a sink chain.
 type Pipeline struct {
-	src     Source
-	sink    RecordSink
-	batched bool
+	src  Source
+	sink RecordSink
 }
 
 // New returns a pipeline streaming src into sink. Prefer assembling
-// chains with From(...).Build / RunInto — the builder also verifies
-// batch continuity through every intermediate stage.
+// chains with From(...).Build / RunInto.
 func New(src Source, sink RecordSink) *Pipeline {
-	_, bok := src.(BatchSource)
-	_, sok := sink.(BatchSink)
-	return &Pipeline{src: src, sink: sink, batched: bok && sok}
+	return &Pipeline{src: src, sink: sink}
 }
-
-// Batched reports whether Run streams in batches rather than record by
-// record. For a pipeline from New it covers the first hop (BatchSource
-// into a BatchSink chain head); for a builder-built pipeline it
-// additionally asserts that every intermediate stage is batch-native,
-// so true means batch-to-batch from EmitBatch to the terminal sink.
-func (p *Pipeline) Batched() bool { return p.batched }
 
 // Run is RunContext with a background context.
 func (p *Pipeline) Run() error { return p.RunContext(context.Background()) }
 
 // RunContext streams every record from the source through the sink
-// chain, then flushes it. When the source can emit chunks and the
-// first sink consumes them (BatchSource into BatchSink), records flow
-// in batches of DefaultBatchSize; otherwise record by record. The
-// first error — from the source, a stage, the terminal sink, or ctx
-// being cancelled (checked per record or per batch) — aborts the run.
-// The chain is flushed even on a mid-stream error so sinks holding
-// resources (the sharded consumers' worker goroutines, buffered
-// writers) release them; the original error wins over any flush error.
+// chain in batches of DefaultBatchSize, then flushes it. The first
+// error — from the source, a stage, the terminal sink, or ctx being
+// cancelled (checked per batch) — aborts the run. The chain is flushed
+// even on a mid-stream error so sinks holding resources (the sharded
+// consumers' worker goroutines, buffered writers) release them; the
+// original error wins over any flush error.
 func (p *Pipeline) RunContext(ctx context.Context) error {
 	err := p.stream(ctx)
 	ferr := p.sink.Flush()
@@ -378,31 +392,16 @@ func (p *Pipeline) RunContext(ctx context.Context) error {
 }
 
 func (p *Pipeline) stream(ctx context.Context) error {
-	cancellable := ctx.Done() != nil
-	if bsrc, ok := p.src.(BatchSource); ok {
-		if bsink, ok := p.sink.(BatchSink); ok {
-			emit := bsink.ConsumeBatch
-			if cancellable {
-				emit = func(recs []firewall.Record) error {
-					if err := ctx.Err(); err != nil {
-						return err
-					}
-					return bsink.ConsumeBatch(recs)
-				}
-			}
-			return bsrc.EmitBatch(DefaultBatchSize, emit)
-		}
-	}
-	emit := p.sink.Consume
-	if cancellable {
-		emit = func(r firewall.Record) error {
+	emit := func(recs []firewall.Record) error { return consumeBatch(p.sink, recs) }
+	if ctx.Done() != nil {
+		emit = func(recs []firewall.Record) error {
 			if err := ctx.Err(); err != nil {
 				return err
 			}
-			return p.sink.Consume(r)
+			return consumeBatch(p.sink, recs)
 		}
 	}
-	return p.src.Emit(emit)
+	return p.src.EmitBatch(DefaultBatchSize, emit)
 }
 
 // consumeBatch forwards a run of records to next, using the batch path

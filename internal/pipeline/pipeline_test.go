@@ -144,9 +144,9 @@ func TestLogRoundTripThroughPipeline(t *testing.T) {
 	}
 }
 
-// TestRunUsesBatchPath verifies that a BatchSource feeding a BatchSink
-// streams in chunks (and that the per-record path still sees every
-// record when a non-batch stage intervenes).
+// TestRunUsesBatchPath verifies that a source feeding a BatchSink
+// streams in chunks (and that a sink without a batch path still sees
+// every record).
 func TestRunUsesBatchPath(t *testing.T) {
 	recs := scanStream(10_000)
 	var batches, records int
@@ -165,28 +165,22 @@ func TestRunUsesBatchPath(t *testing.T) {
 	batches, records = 0, 0
 	sink2 := &countingBatchSink{onBatch: func(n int) { batches++; records += n }}
 	p := New(SliceSource(recs), Filter(func(firewall.Record) bool { return true }, sink2))
-	if !p.Batched() {
-		t.Fatal("filtered chain should stay batched")
-	}
 	if err := p.Run(); err != nil {
 		t.Fatal(err)
 	}
 	if records != len(recs) || batches >= len(recs) {
 		t.Fatalf("filtered batch path consumed %d records in %d batches", records, batches)
 	}
-	// A sink chain whose head hides batch capability forces the record
-	// path, and every record still arrives.
+	// A sink chain whose head hides batch capability is fed record by
+	// record, and every record still arrives.
 	records = 0
 	sink3 := &countingBatchSink{onBatch: func(n int) { records += n }}
 	p = New(SliceSource(recs), &wrapRecordOnly{sink3})
-	if p.Batched() {
-		t.Fatal("record-only head cannot be batched")
-	}
 	if err := p.Run(); err != nil {
 		t.Fatal(err)
 	}
 	if records != len(recs) {
-		t.Fatalf("record path consumed %d records, want %d", records, len(recs))
+		t.Fatalf("record-only head consumed %d records, want %d", records, len(recs))
 	}
 }
 
@@ -248,13 +242,12 @@ func TestIDSSinkAdvanceEvery(t *testing.T) {
 	if len(merged.Alerts) != 1 {
 		t.Fatalf("without AdvanceEvery: %d alerts, want 1 merged", len(merged.Alerts))
 	}
-	// Both paths must split at the same stream point: the batch path
-	// (default Run over a SliceSource) splits batches at cadence
-	// points, and the record path (forced by a record-only source;
-	// every stage, Tap included, is batch-native) ticks per record.
+	// Both feeds must split at the same stream point: DefaultBatchSize
+	// batches are split at cadence points, and batches of one tick per
+	// record.
 	for name, src := range map[string]Source{
 		"batch":  SliceSource(recs),
-		"record": SourceFunc(SliceSource(recs).Emit),
+		"record": fixedBatchSource{recs, 1},
 	} {
 		split := NewIDSSink(ids.New(ids.DefaultConfig()))
 		split.AdvanceEvery = time.Minute
@@ -262,7 +255,7 @@ func TestIDSSinkAdvanceEvery(t *testing.T) {
 			t.Fatal(err)
 		}
 		if len(split.Alerts) != 2 {
-			t.Fatalf("%s path with AdvanceEvery: %d alerts, want 2 split sessions: %v",
+			t.Fatalf("%s feed with AdvanceEvery: %d alerts, want 2 split sessions: %v",
 				name, len(split.Alerts), split.Alerts)
 		}
 	}

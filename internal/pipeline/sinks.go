@@ -52,9 +52,8 @@ var Discard RecordSink = SinkFunc(func(firewall.Record) error { return nil })
 
 // DetectorSink terminates a pipeline in the multi-aggregation scan
 // detector. Flush calls Finish, after which the detector's scan
-// accessors are valid. The embedded terminal supplies the record and
-// batch paths, the AdvanceEvery and checkpoint cadences and the
-// lifecycle.
+// accessors are valid. The embedded terminal supplies the batch path,
+// the AdvanceEvery and checkpoint cadences and the lifecycle.
 type DetectorSink struct {
 	D *core.Detector
 	terminal
@@ -65,7 +64,6 @@ func NewDetectorSink(d *core.Detector) *DetectorSink {
 	s := &DetectorSink{D: d}
 	s.eng = engine{
 		value:    d,
-		process:  d.Process,
 		batch:    d.ProcessBatch,
 		advance:  func(t time.Time) error { d.Advance(t); return nil },
 		finish:   func() error { d.Finish(); return nil },
@@ -90,8 +88,8 @@ type ShardedSink struct {
 // NewShardedSink wraps a sharded detector.
 func NewShardedSink(d *core.ShardedDetector) *ShardedSink {
 	s := &ShardedSink{D: d}
-	s.eng = engine{value: d, process: d.Process, batch: d.ProcessBatch,
-		advance: d.Advance, finish: d.Finish, snapshot: d.Snapshot}
+	s.eng = engine{value: d, batch: d.ProcessBatch, advance: d.Advance,
+		finish: d.Finish, snapshot: d.Snapshot}
 	return s
 }
 

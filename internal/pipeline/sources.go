@@ -20,17 +20,7 @@ import (
 // SliceSource emits an in-memory record slice.
 type SliceSource []firewall.Record
 
-// Emit implements Source.
-func (s SliceSource) Emit(emit func(r firewall.Record) error) error {
-	for _, r := range s {
-		if err := emit(r); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// EmitBatch implements BatchSource. Each chunk is copied into a pooled
+// EmitBatch implements Source. Each chunk is copied into a pooled
 // scratch buffer before emission: the batch contract lets consumers
 // (filter stages) compact the slice in place, and the caller's backing
 // slice must not be mutated.
@@ -62,23 +52,7 @@ func NewLogSource(r io.Reader) *LogSource {
 	return &LogSource{r: firewall.NewReader(r)}
 }
 
-// Emit implements Source.
-func (s *LogSource) Emit(emit func(r firewall.Record) error) error {
-	for {
-		rec, err := s.r.Next()
-		if err == io.EOF {
-			return nil
-		}
-		if err != nil {
-			return err
-		}
-		if err := emit(rec); err != nil {
-			return err
-		}
-	}
-}
-
-// EmitBatch implements BatchSource via Reader.NextBatch: each chunk is
+// EmitBatch implements Source via Reader.NextBatch: each chunk is
 // one bulk read plus a tight decode loop straight into the pooled
 // chunk buffer, so steady-state ingest performs no per-record calls
 // and no per-chunk allocations.
@@ -116,38 +90,12 @@ type PcapSource struct {
 // NewPcapSource returns a source decoding the pcap stream r.
 func NewPcapSource(r io.Reader) *PcapSource { return &PcapSource{r: r} }
 
-// Skipped reports how many packets failed to decode. It is valid
-// after Emit and after EmitBatch alike — both paths count every
-// undecodable packet as they pass it — and, the run having finished,
-// on whichever of the two drove the pipeline.
+// Skipped reports how many packets failed to decode. EmitBatch counts
+// every undecodable packet as it passes it, so the count is complete
+// once the run has finished.
 func (s *PcapSource) Skipped() int { return s.skipped }
 
-// Emit implements Source.
-func (s *PcapSource) Emit(emit func(r firewall.Record) error) error {
-	pr, err := pcap.NewReader(s.r)
-	if err != nil {
-		return err
-	}
-	var d layers.Decoded
-	for {
-		p, err := pr.Next()
-		if err == io.EOF {
-			return nil
-		}
-		if err != nil {
-			return err
-		}
-		if perr := layers.ParseFrame(p.Data, pr.Header().LinkType, &d); perr != nil {
-			s.skipped++
-			continue
-		}
-		if err := emit(firewall.FromDecoded(p.Timestamp, &d)); err != nil {
-			return err
-		}
-	}
-}
-
-// EmitBatch implements BatchSource: frames are decoded into a pooled
+// EmitBatch implements Source: frames are decoded into a pooled
 // chunk buffer and handed downstream batchSize at a time.
 func (s *PcapSource) EmitBatch(batchSize int, emit func(recs []firewall.Record) error) error {
 	pr, err := pcap.NewReader(s.r)

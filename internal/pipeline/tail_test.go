@@ -145,8 +145,8 @@ func TestTailGrowth(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	if err := NewLogSource(f).Emit(func(r firewall.Record) error {
-		want = append(want, r)
+	if err := NewLogSource(f).EmitBatch(DefaultBatchSize, func(recs []firewall.Record) error {
+		want = append(want, recs...)
 		return nil
 	}); err != nil {
 		t.Fatal(err)

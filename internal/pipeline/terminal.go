@@ -3,8 +3,8 @@ package pipeline
 // The engine terminal: the one implementation behind DetectorSink,
 // ShardedSink, IDSSink and ShardedIDSSink. Each of those sinks is an
 // engine field, a constructor that adapts the engine's methods, and a
-// Result accessor; everything else — the record and batch paths, the
-// eviction cadence, the checkpoint cadence riding it, the metrics
+// Result accessor; everything else — the batch path, the eviction
+// cadence, the checkpoint cadence riding it, the metrics
 // hooks and the lifecycle — lives here once.
 
 import (
@@ -46,7 +46,6 @@ type EngineSink interface {
 // engine adapts one detection engine to the terminal.
 type engine struct {
 	value    any
-	process  func(r firewall.Record) error
 	batch    func(recs []firewall.Record) error
 	advance  func(t time.Time) error
 	finish   func() error
@@ -55,7 +54,6 @@ type engine struct {
 
 // alerting is the surface ids.Engine and ids.ShardedEngine share.
 type alerting interface {
-	Process(r firewall.Record)
 	ProcessBatch(recs []firewall.Record)
 	Tick(now time.Time)
 	Flush() []ids.Alert
@@ -67,7 +65,6 @@ type alerting interface {
 func idsEngine(e alerting, alerts *[]ids.Alert) engine {
 	return engine{
 		value:    e,
-		process:  func(r firewall.Record) error { e.Process(r); return nil },
 		batch:    func(recs []firewall.Record) error { e.ProcessBatch(recs); return nil },
 		advance:  func(t time.Time) error { e.Tick(t); return nil },
 		finish:   func() error { *alerts = e.Flush(); return nil },
@@ -101,10 +98,9 @@ type marks struct {
 // least CheckpointEvery past the previous cut, right after the advance.
 // Without one the checkpoint cadence fires on its own.
 //
-// Cadences fire before the record that reaches them is consumed, on the
-// record path and the batch path alike (batches are split at fire
-// points), so batch size never changes where an engine advances or a
-// checkpoint cuts.
+// Cadences fire before the record that reaches them is consumed
+// (batches are split at fire points), so batch size never changes where
+// an engine advances or a checkpoint cuts.
 type terminal struct {
 	AdvanceEvery    time.Duration
 	CheckpointEvery time.Duration
@@ -116,6 +112,8 @@ type terminal struct {
 	afterFire func(t time.Time) error
 	flushed   bool
 	err       error
+	// one is Consume's single-record batch.
+	one [1]firewall.Record
 }
 
 // due is the one cadence decision: whether a cadence of period every,
@@ -173,19 +171,15 @@ func (t *terminal) fire(at time.Time) error {
 	return nil
 }
 
-// Consume implements RecordSink: a record that reaches a fire point
-// first fires the cadence, then contributes its own activity.
+// Consume implements RecordSink as a batch of one.
 func (t *terminal) Consume(r firewall.Record) error {
-	if t.fires(r.Time) {
-		if err := t.fire(r.Time); err != nil {
-			return err
-		}
-	}
-	return t.eng.process(r)
+	t.one[0] = r
+	return t.ConsumeBatch(t.one[:])
 }
 
-// ConsumeBatch implements BatchSink, splitting the batch at every fire
-// point so the cadence fires exactly where the record path would.
+// ConsumeBatch implements BatchSink. A record that reaches a fire point
+// first fires the cadence, then contributes its own activity, so the
+// batch is split at every fire point.
 func (t *terminal) ConsumeBatch(recs []firewall.Record) error {
 	if t.AdvanceEvery <= 0 && !t.checkpointing() {
 		return t.eng.batch(recs)

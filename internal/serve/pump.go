@@ -66,11 +66,11 @@ type pump struct {
 }
 
 // statePublishInterval throttles the stream-progress State refresh:
-// often enough that /api/state tracks a live tail, rare enough that
-// the degraded per-record path stays allocation-light.
+// often enough that /api/state tracks a live tail, rare enough that a
+// stream of small batches stays allocation-light.
 const statePublishInterval = 100 * time.Millisecond
 
-// note tracks stream progress after a record or run of records.
+// note tracks stream progress after a run of records.
 func (p *pump) note(last time.Time) {
 	if last.After(p.lastSeen) {
 		p.lastSeen = last
@@ -81,17 +81,8 @@ func (p *pump) note(last time.Time) {
 	}
 }
 
-// Consume implements pipeline.RecordSink: the terminal consumes, the
-// pump notes progress.
-func (p *pump) Consume(r firewall.Record) error {
-	if err := p.EngineSink.Consume(r); err != nil {
-		return err
-	}
-	p.note(r.Time)
-	return nil
-}
-
-// ConsumeBatch implements pipeline.BatchSink, as Consume.
+// ConsumeBatch implements pipeline.BatchSink: the terminal consumes,
+// the pump notes progress.
 func (p *pump) ConsumeBatch(recs []firewall.Record) error {
 	if len(recs) == 0 {
 		return nil

@@ -50,10 +50,9 @@
 //	    Artifact().
 //	    Detect(ctx, v6scan.DefaultDetectorConfig(), 8)
 //
-// Every built-in stage is batch-native, so a fully filtered pipeline
-// from a batching source (log, pcap, slice) into a batch-consuming
-// terminal streams batch-to-batch end to end; Pipeline.Batched reports
-// whether the fast path engaged. Ingestion is memory-bounded for
+// Every source emits chunked batches and every built-in stage is
+// batch-native, so a pipeline into a batch-consuming terminal streams
+// batch-to-batch end to end. Ingestion is memory-bounded for
 // larger-than-RAM inputs: the log and pcap sources decode
 // incrementally through pooled chunk buffers, WindowSort repairs
 // bounded timestamp disorder in flight (full-sort-equivalent output
@@ -292,12 +291,10 @@ type (
 	// sink implements: Flush finalizes exactly once, Close releases
 	// idempotently, typed Result accessors read the outcome.
 	TerminalSink = pipeline.Sink
-	// RecordSource produces a time-ordered record stream.
+	// RecordSource produces a time-ordered record stream in chunked
+	// batches.
 	RecordSource = pipeline.Source
-	// RecordBatchSource produces the stream in chunked batches; when a
-	// pipeline couples one to a BatchSink, records flow batch-to-batch.
-	RecordBatchSource = pipeline.BatchSource
-	// SourceFunc adapts a function to RecordSource.
+	// SourceFunc adapts a record-at-a-time function to RecordSource.
 	SourceFunc = pipeline.SourceFunc
 	// SinkFunc adapts a function to RecordSink.
 	SinkFunc = pipeline.SinkFunc
